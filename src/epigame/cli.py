@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import os
 import re
@@ -60,6 +61,7 @@ from .scenarios import (
     preset,
     preset_description,
     scenario_from_dict,
+    sweep,
 )
 
 SOCIAL_STATE_FORMAT = "epigame-social-state"
@@ -257,8 +259,6 @@ def _sweep_points(args) -> list[tuple[dict, ScenarioConfig]]:
     base = _load_scenario(args)
     if isinstance(base, list):
         raise ValidationError("--config must name a single scenario")
-    from .scenarios import sweep as scenario_sweep
-
     paths, value_lists = [], []
     for entry in args.grid:
         if "=" not in entry:
@@ -275,15 +275,11 @@ def _sweep_points(args) -> list[tuple[dict, ScenarioConfig]]:
                 parsed.append(token)  # bare strings, e.g. healthy_q modes
         paths.append(path.strip())
         value_lists.append(parsed)
-    configs = scenario_sweep(list(zip(paths, value_lists)), base)
-    points = []
-    index = 0
-    import itertools
-
-    for combo in itertools.product(*value_lists):
-        points.append((dict(zip(paths, combo)), configs[index]))
-        index += 1
-    return points
+    configs = sweep(list(zip(paths, value_lists)), base)
+    return [
+        (dict(zip(paths, combo)), cfg)
+        for combo, cfg in zip(itertools.product(*value_lists), configs)
+    ]
 
 
 def cmd_sweep(args) -> int:
@@ -340,7 +336,6 @@ def cmd_check_equilibrium(args) -> int:
         scenario.reward_config(),
         scenario.params,
         tol=args.tol,
-        healthy_q=scenario.healthy_q,
         infected_forced_home=scenario.infected_forced_home,
     )
     print(f"se1_gap (occupied states):   {report.se1_gap:.3e}")
@@ -385,7 +380,6 @@ def cmd_construct_equilibrium(args) -> int:
         social,
         scenario.reward_config(),
         scenario.params,
-        healthy_q=scenario.healthy_q,
         infected_forced_home=scenario.infected_forced_home,
     )
     print(f"wrote {out}")

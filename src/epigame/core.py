@@ -17,7 +17,8 @@ Everything here is immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -70,7 +71,10 @@ HEALTHY_STATES = (InfectionState.S, InfectionState.A, InfectionState.U)
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Epidemic, preference and rationality scalars shared by all modules."""
+    """Epidemic, preference and rationality scalars shared by all modules.
+
+    Construction runs :func:`validate_params`, so every instance is valid.
+    """
 
     beta_A: float  # infection probability per contact with an asymptomatic agent
     beta_I: float  # infection probability per contact with a symptomatic agent
@@ -87,6 +91,9 @@ class ModelParams:
     migration_cost: float
     illness_cost: float  # flat daily discomfort while symptomatic
 
+    def __post_init__(self) -> None:
+        validate_params(self)
+
     @property
     def num_actions(self) -> int:
         return (self.a_max + 1) * self.num_zones
@@ -101,11 +108,29 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def is_integer(value) -> bool:
+    """True for Python and numpy integers, but not for bools."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for integers and finite floats, Python or numpy, but not for bools."""
+    return is_integer(value) or (isinstance(value, (float, np.floating)) and math.isfinite(value))
+
+
 def validate_params(p: ModelParams) -> ModelParams:
     """Return ``p`` unchanged if every documented bound holds.
 
-    Raises ValidationError naming the offending field otherwise.
+    Raises ValidationError naming the offending field otherwise. Integer
+    fields must be integers, every other field a finite real number; bools
+    and strings are rejected rather than coerced.
     """
+    for f in fields(ModelParams):
+        value = getattr(p, f.name)
+        if f.name in ("num_zones", "a_max"):
+            _require(is_integer(value), f"{f.name} must be an integer; got {value!r}")
+        else:
+            _require(is_real(value), f"{f.name} must be a finite real number; got {value!r}")
     _require(0.0 <= p.beta_A <= 1.0, f"beta_A must lie in [0, 1]; got {p.beta_A}")
     _require(0.0 <= p.beta_I <= 1.0, f"beta_I must lie in [0, 1]; got {p.beta_I}")
     _require(0.0 < p.delta_A_I <= 1.0, f"delta_A_I must lie in (0, 1]; got {p.delta_A_I}")
@@ -117,14 +142,8 @@ def validate_params(p: ModelParams) -> ModelParams:
     _require(0.0 < p.delta_I_R <= 1.0, f"delta_I_R must lie in (0, 1]; got {p.delta_I_R}")
     _require(0.0 <= p.delta_U_R <= 1.0, f"delta_U_R must lie in [0, 1]; got {p.delta_U_R}")
     _require(p.epsilon > 0.0, f"epsilon must be positive; got {p.epsilon}")
-    _require(
-        isinstance(p.num_zones, (int, np.integer)) and p.num_zones >= 1,
-        f"num_zones must be an integer >= 1; got {p.num_zones!r}",
-    )
-    _require(
-        isinstance(p.a_max, (int, np.integer)) and p.a_max >= 0,
-        f"a_max must be an integer >= 0; got {p.a_max!r}",
-    )
+    _require(p.num_zones >= 1, f"num_zones must be >= 1; got {p.num_zones}")
+    _require(p.a_max >= 0, f"a_max must be >= 0; got {p.a_max}")
     _require(0.0 <= p.alpha < 1.0, f"alpha must lie in [0, 1); got {p.alpha}")
     _require(p.rationality >= 0.0, f"rationality must be >= 0; got {p.rationality}")
     _require(0.0 < p.inertia <= 1.0, f"inertia must lie in (0, 1]; got {p.inertia}")
@@ -184,14 +203,6 @@ def unflatten_state_table(flat: np.ndarray, num_zones: int) -> np.ndarray:
 
 
 # --- population objects ---------------------------------------------------
-
-
-def _frozen_array(values, shape_hint: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{shape_hint} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,7 +323,6 @@ class SocialState:
 
 def uniform_no_move_policy(p: ModelParams) -> Policy:
     """Uniform over activation degrees, all mass on staying in the own zone."""
-    validate_params(p)
     zones, width = p.num_zones, p.a_max + 1
     rows = np.zeros((NUM_CLASSES, zones, width * zones))
     for z in range(zones):

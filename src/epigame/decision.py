@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    CLASS_OF_STATE,
     HEALTHY_STATES,
     NUM_CLASSES,
     NUM_STATES,
@@ -23,18 +22,17 @@ from .core import (
     SocialState,
     ValidationError,
     action_degrees,
-    action_targets,
     flatten_state_table,
     unflatten_state_table,
-    validate_params,
 )
-from .epidemic import TransitionKernel, activity_masses, encounter_probs, infection_matrix
+from .epidemic import TransitionKernel, action_law, assemble_kernel
 from .rewards import RewardConfig, reward_table
 
 # Q values closer than this are treated as tied when picking best responses.
 TIE_TOL = 1e-9
 
-# Residual bound for the direct linear solve of the value equation.
+# Residual bound for the direct linear solve of the value equation, in units
+# of max(1, |r|_inf / (1 - alpha)), the scale of V.
 VALUE_RESIDUAL_TOL = 1e-10
 
 # Healthy mass below this falls back to the susceptible row when weighting Q.
@@ -51,9 +49,9 @@ def value_function(
     """Discounted value of following the shared policy forever; shape (5, Z).
 
     Solves ``(I - alpha * P) V = R`` directly; the system is small and
-    strictly diagonally dominant for ``alpha < 1``.
+    strictly diagonally dominant for ``alpha < 1``. The residual gate is
+    relative to ``|r|_inf / (1 - alpha)``, the bound on ``|V|_inf``.
     """
-    validate_params(p)
     n = p.num_flat_states
     r = flatten_state_table(np.asarray(expected_rewards, dtype=float))
     if r.shape != (n,):
@@ -61,9 +59,24 @@ def value_function(
     system = np.eye(n) - p.alpha * kernel.matrix
     v = np.linalg.solve(system, r)
     residual = float(np.abs(system @ v - r).max())
-    if residual > VALUE_RESIDUAL_TOL:
-        raise NumericsError(f"value equation residual {residual} exceeds {VALUE_RESIDUAL_TOL}")
+    tol = VALUE_RESIDUAL_TOL * max(1.0, float(np.abs(r).max()) / (1.0 - p.alpha))
+    if residual > tol:
+        raise NumericsError(f"value equation residual {residual} exceeds {tol}")
     return unflatten_state_table(v, p.num_zones)
+
+
+def lookahead_q(
+    per_action: np.ndarray, values: np.ndarray, table: np.ndarray, p: ModelParams
+) -> np.ndarray:
+    """Reward ``table`` (5, Z, J) plus discounted ``values`` of tomorrow's state.
+
+    Tomorrow's state follows ``per_action`` (5, Z, J, 5) and lies in the
+    action's target zone; the flat action axis splits into (target, degree).
+    """
+    zones, width = p.num_zones, p.a_max + 1
+    law = per_action.reshape(NUM_STATES, zones, zones, width, NUM_STATES)
+    tomorrow = np.einsum("sztdk,kt->sztd", law, values)
+    return table + p.alpha * tomorrow.reshape(NUM_STATES, zones, p.num_actions)
 
 
 def q_function(
@@ -77,14 +90,28 @@ def q_function(
     The agent picks (degree, target zone) today and reverts to the shared
     policy tomorrow, so tomorrow is priced by ``values`` at the target zone.
     """
-    validate_params(p)
     values = np.asarray(values, dtype=float)
     if values.shape != (NUM_STATES, p.num_zones):
         raise ValidationError(f"values must have shape (5, {p.num_zones}); got {values.shape}")
-    probs = encounter_probs(activity_masses(social, p), p)
-    per_action = infection_matrix(probs, p)  # (5, Z, J, 5)
-    v_at_target = values[:, action_targets(p.a_max, p.num_zones)]  # (5, J)
-    return reward_table(cfg) + p.alpha * np.einsum("szjk,kj->szj", per_action, v_at_target)
+    return lookahead_q(action_law(social, p), values, reward_table(cfg), p)
+
+
+def day_terms(
+    social: SocialState, table: np.ndarray, p: ModelParams
+) -> tuple[TransitionKernel, np.ndarray]:
+    """One day's evaluation of a social state: its kernel and its Q table.
+
+    The per-action law is computed once and shared by the kernel, the value
+    solve and the lookahead, so the dynamics and the equilibrium checker act
+    on the same Q. ``table`` is :func:`~epigame.rewards.reward_table`.
+    """
+    rows = social.policy.state_rows()
+    if table.shape != rows.shape:
+        raise ValidationError(f"reward table shape {table.shape} does not match {rows.shape}")
+    per_action = action_law(social, p)
+    kernel = assemble_kernel(rows, per_action, p)
+    values = value_function(kernel, np.einsum("szj,szj->sz", rows, table), p)
+    return kernel, lookahead_q(per_action, values, table, p)
 
 
 def feasible_actions(p: ModelParams, infected_forced_home: bool = True) -> np.ndarray:
@@ -108,14 +135,9 @@ def best_response(
 ) -> np.ndarray:
     """Flat indices of all actions within ``tie_tol`` of the best Q value."""
     row = np.asarray(q)[int(s), z]
-    if feasible is not None:
-        allowed = np.asarray(feasible, dtype=bool)
-        best = row[allowed].max()
-        hits = (row >= best - tie_tol) & allowed
-    else:
-        best = row.max()
-        hits = row >= best - tie_tol
-    return np.flatnonzero(hits)
+    allowed = np.ones(row.shape, dtype=bool) if feasible is None else np.asarray(feasible, bool)
+    best = row[allowed].max()
+    return np.flatnonzero((row >= best - tie_tol) & allowed)
 
 
 def class_q(
@@ -167,7 +189,6 @@ def logit_choice(
     subtracted before exponentiation so arbitrarily sharp choices stay
     finite.
     """
-    validate_params(p)
     cq = class_q(q, dist_table, healthy_q)
     mask = feasible_actions(p, infected_forced_home)
     scores = np.where(mask[:, None, :], p.rationality * cq, -np.inf)

@@ -15,17 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    NUM_STATES,
     InfectionState,
     ModelParams,
     SocialState,
     StateDistribution,
     ValidationError,
-    action_targets,
-    validate_params,
 )
-from .decision import logit_choice, policy_update, q_function, value_function
-from .epidemic import ActivityMasses, activity_masses, transition_matrix
-from .rewards import RewardConfig, expected_reward
+from .decision import day_terms, logit_choice, policy_update
+from .rewards import RewardConfig, reward_table
 from .scenarios import ScenarioConfig
 
 WAVE_PROMINENCE = 0.01
@@ -37,7 +35,6 @@ class StepRecord:
 
     day: int
     social: SocialState
-    activity: ActivityMasses
     mean_activation: np.ndarray  # (3, Z) expected degree per behavior class
     migration_flow: np.ndarray  # (Z, Z) mass moving from row zone to column zone
     welfare: float  # population-average expected reward this day
@@ -141,17 +138,16 @@ class SimulationResult:
     metrics: EpidemicMetrics
 
 
-def _observe(day: int, social: SocialState, cfg: RewardConfig, p: ModelParams) -> StepRecord:
-    masses = activity_masses(social, p)
+def _observe(day: int, social: SocialState, table: np.ndarray, p: ModelParams) -> StepRecord:
+    d = social.dist.d
+    rows = social.policy.state_rows()  # (5, Z, J)
+    welfare = float(np.sum(d * np.einsum("szj,szj->sz", rows, table)))
+    by_target = rows.reshape(NUM_STATES, p.num_zones, p.num_zones, p.a_max + 1)
+    flow = np.einsum("sz,sztd->zt", d, by_target)
     mean_act = social.policy.mean_degrees()
-    rewards = expected_reward(social.policy, cfg)
-    welfare = float(np.sum(social.dist.d * rewards))
-    onehot = np.eye(p.num_zones)[action_targets(p.a_max, p.num_zones)]  # (J, Z)
-    flow = np.einsum("sz,szj,jw->zw", social.dist.d, social.policy.state_rows(), onehot)
-    mean_act = np.array(mean_act)
     mean_act.setflags(write=False)
     flow.setflags(write=False)
-    return StepRecord(day, social, masses, mean_act, flow, welfare)
+    return StepRecord(day, social, mean_act, flow, welfare)
 
 
 def step(
@@ -163,11 +159,7 @@ def step(
     infected_forced_home: bool = True,
 ) -> SocialState:
     """One simultaneous day update of policy and distribution."""
-    validate_params(p)
-    kernel = transition_matrix(social, p)
-    rewards = expected_reward(social.policy, cfg)
-    values = value_function(kernel, rewards, p)
-    q = q_function(social, values, cfg, p)
+    kernel, q = day_terms(social, reward_table(cfg), p)
     target = logit_choice(
         q, social.dist.d, p, healthy_q=healthy_q, infected_forced_home=infected_forced_home
     )
@@ -184,12 +176,11 @@ def simulate(scenario: ScenarioConfig) -> SimulationResult:
     the settle threshold; post-epidemic adjustment (notably return
     migration) would otherwise be cut off.
     """
-    p = validate_params(scenario.params)
-    if scenario.horizon <= 0:
-        raise ValidationError(f"horizon must be >= 1; got {scenario.horizon}")
+    p = scenario.params
     cfg = scenario.reward_config()
+    table = reward_table(cfg)
     social = scenario.initial_social()
-    records = [_observe(0, social, cfg, p)]
+    records = [_observe(0, social, table, p)]
     policy_change = math.inf
     day = 0
     while day < scenario.horizon:
@@ -209,7 +200,7 @@ def simulate(scenario: ScenarioConfig) -> SimulationResult:
         policy_change = float(np.abs(nxt.policy.class_rows - social.policy.class_rows).max())
         social = nxt
         day += 1
-        records.append(_observe(day, social, cfg, p))
+        records.append(_observe(day, social, table, p))
     traj = Trajectory(tuple(records))
     return SimulationResult(
         scenario, traj, metrics(traj, subtract_initial_immune=scenario.subtract_initial_immune)

@@ -24,10 +24,7 @@ from .core import (
     StateDistribution,
     ValidationError,
     action_degrees,
-    action_targets,
-    flatten_state_table,
     unflatten_state_table,
-    validate_params,
 )
 
 
@@ -98,7 +95,6 @@ class TransitionKernel:
 
 def activity_masses(social: SocialState, p: ModelParams) -> ActivityMasses:
     """Expected activation mass per zone under the current policy."""
-    validate_params(p)
     deg = action_degrees(p.a_max, p.num_zones)
     mean_deg = social.policy.state_rows() @ deg  # (5, Z)
     d = social.dist.d
@@ -115,7 +111,6 @@ def encounter_probs(masses: ActivityMasses, p: ModelParams) -> EncounterProbs:
     pairing distribution stays well defined when nobody is active: in that
     limit every attempt matches nobody.
     """
-    validate_params(p)
     pool = masses.total + p.epsilon
     return EncounterProbs(
         no_partner=p.epsilon / pool,
@@ -137,7 +132,6 @@ def infection_transition(
     ``a`` contacts independently infects with probability ``beta_A`` or
     ``beta_I`` depending on the partner drawn.
     """
-    validate_params(p)
     if not 0 <= a <= p.a_max:
         raise ValidationError(f"activation degree {a} out of range [0, {p.a_max}]")
     if not 0 <= z < p.num_zones:
@@ -212,13 +206,27 @@ def state_transition(
     return out
 
 
+def assemble_kernel(rows: np.ndarray, per_action: np.ndarray, p: ModelParams) -> TransitionKernel:
+    """Kernel of state rows (5, Z, J) acting through the per-action law (5, Z, J, 5).
+
+    The flat action axis splits into (target zone, degree), so the mass an
+    action sends to its target is a contraction over degrees alone.
+    """
+    zones, width = p.num_zones, p.a_max + 1
+    joint = np.einsum(
+        "sztd,sztdk->szkt",
+        rows.reshape(NUM_STATES, zones, zones, width),
+        per_action.reshape(NUM_STATES, zones, zones, width, NUM_STATES),
+    )  # (5, Z, 5, Z')
+    flat = joint.transpose(1, 0, 3, 2).reshape(p.num_flat_states, p.num_flat_states)
+    return TransitionKernel(flat, zones)
+
+
+def action_law(social: SocialState, p: ModelParams) -> np.ndarray:
+    """:func:`infection_matrix` under the encounters of a social state; (5, Z, J, 5)."""
+    return infection_matrix(encounter_probs(activity_masses(social, p), p), p)
+
+
 def transition_matrix(social: SocialState, p: ModelParams) -> TransitionKernel:
     """Policy-averaged one-day kernel of the population."""
-    validate_params(p)
-    probs = encounter_probs(activity_masses(social, p), p)
-    per_action = infection_matrix(probs, p)  # (5, Z, J, 5)
-    rows = social.policy.state_rows()  # (5, Z, J)
-    onehot = np.eye(p.num_zones)[action_targets(p.a_max, p.num_zones)]  # (J, Z)
-    joint = np.einsum("szj,szjk,jw->szkw", rows, per_action, onehot)  # (5,Z,5,Z')
-    flat = joint.transpose(1, 0, 3, 2).reshape(p.num_flat_states, p.num_flat_states)
-    return TransitionKernel(flat, p.num_zones)
+    return assemble_kernel(social.policy.state_rows(), action_law(social, p), p)

@@ -21,7 +21,6 @@ from .core import (
     CLASS_OF_STATE,
     NUM_CLASSES,
     NUM_STATES,
-    PROB_TOL,
     BehaviorClass,
     InfectionState,
     ModelParams,
@@ -30,11 +29,9 @@ from .core import (
     StateDistribution,
     ValidationError,
     flatten_action,
-    validate_params,
 )
-from .decision import TIE_TOL, feasible_actions, q_function, value_function
-from .epidemic import transition_matrix
-from .rewards import RewardConfig, expected_reward
+from .decision import TIE_TOL, day_terms, feasible_actions
+from .rewards import RewardConfig, reward_table
 
 # Representative infection state of each behavior class (cost tables of the
 # healthy states are identical by the RewardConfig invariant).
@@ -74,10 +71,18 @@ class EquilibriumReport:
     occupied: np.ndarray  # (5, Z) boolean mask of states carrying mass
 
 
-def _split_zones(
-    values: np.ndarray, alpha: float, migration_cost: float, tie_tol: float
-) -> tuple[float, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Partition zones by one state's activation values."""
+def _partition(
+    net: np.ndarray, alpha: float, migration_cost: float, tie_tol: float
+) -> tuple:
+    """Optima of one state's (Z, a_max+1) activation rewards and the zone partition.
+
+    Returns the best reward and its tied degrees per zone, the best reward
+    over zones, and the best, leave and neutral zones.
+    """
+    values = net.max(axis=1)
+    degrees = tuple(
+        tuple(int(a) for a in np.flatnonzero(row >= top - tie_tol)) for row, top in zip(net, values)
+    )
     best = float(values.max())
     best_zones = tuple(int(z) for z in np.flatnonzero(values >= best - tie_tol))
     threshold = math.inf if alpha == 0.0 else (1.0 - alpha) / alpha * migration_cost
@@ -87,7 +92,7 @@ def _split_zones(
         if z not in best_zones and best - values[z] > threshold
     )
     neutral = tuple(z for z in range(values.size) if z not in best_zones and z not in leave)
-    return best, best_zones, leave, neutral
+    return values, degrees, best, best_zones, leave, neutral
 
 
 def classify_zones(
@@ -100,35 +105,20 @@ def classify_zones(
     ``(1 - alpha) / alpha * migration_cost``; with ``alpha = 0`` no zone is
     ever worth leaving.
     """
-    validate_params(p)
-    if cfg.migration_cost < 0.0:
-        raise ValidationError(f"migration_cost must be >= 0; got {cfg.migration_cost}")
     net = cfg.benefit[None, None, :] - cfg.activation_cost  # (5, Z, a_max+1)
-    act_value = net.max(axis=2)
-    best_degrees = tuple(
-        tuple(
-            tuple(int(a) for a in np.flatnonzero(net[s, z] >= act_value[s, z] - tie_tol))
-            for z in range(cfg.num_zones)
-        )
-        for s in range(NUM_STATES)
+    values, degrees, best, best_zones, leave, neutral = zip(
+        *(_partition(net[s], p.alpha, cfg.migration_cost, tie_tol) for s in range(NUM_STATES))
     )
-    best_value = np.empty(NUM_STATES)
-    best_zones, leave, neutral = [], [], []
-    for s in range(NUM_STATES):
-        bv, bz, lv, nt = _split_zones(act_value[s], p.alpha, cfg.migration_cost, tie_tol)
-        best_value[s] = bv
-        best_zones.append(bz)
-        leave.append(lv)
-        neutral.append(nt)
+    act_value, best_value = np.array(values), np.array(best)
     act_value.setflags(write=False)
     best_value.setflags(write=False)
     return ZoneClassification(
         activation_value=act_value,
-        best_degrees=best_degrees,
+        best_degrees=degrees,
         best_value=best_value,
-        best_zones=tuple(best_zones),
-        leave_zones=tuple(leave),
-        neutral_zones=tuple(neutral),
+        best_zones=best_zones,
+        leave_zones=leave,
+        neutral_zones=neutral,
     )
 
 
@@ -162,30 +152,20 @@ def construct_equilibrium(
     stays put outside leave zones, and migrates uniformly to the best
     zones from inside them.
     """
-    validate_params(p)
     if cfg.num_zones != p.num_zones or cfg.a_max != p.a_max:
         raise ValidationError("reward config dimensions do not match the parameters")
 
     # Per-class activation optima; the symptomatic class may be support
     # restricted to degree 0.
-    class_best_degrees: list[tuple[tuple[int, ...], ...]] = []
-    class_leave: list[tuple[int, ...]] = []
-    class_best_zones: list[tuple[int, ...]] = []
+    class_degrees, class_best_zones, class_leave = [], [], []
     for cls in BehaviorClass:
-        state = _CLASS_STATE[cls]
-        net = cfg.benefit[:, None] - cfg.activation_cost[state].T  # (a_max+1, Z)
+        net = cfg.benefit[None, :] - cfg.activation_cost[_CLASS_STATE[cls]]  # (Z, a_max+1)
         if cls == BehaviorClass.SYMPTOMATIC and infected_forced_home:
-            net = net[:1]  # only degree 0 is available
-        values = net.max(axis=0)
-        class_best_degrees.append(
-            tuple(
-                tuple(int(a) for a in np.flatnonzero(net[:, z] >= values[z] - tie_tol))
-                for z in range(p.num_zones)
-            )
-        )
-        _, bz, lv, _ = _split_zones(values, p.alpha, cfg.migration_cost, tie_tol)
-        class_best_zones.append(bz)
-        class_leave.append(lv)
+            net = net[:, :1]  # only degree 0 is available
+        _, degrees, _, best_zones, leave, _ = _partition(net, p.alpha, cfg.migration_cost, tie_tol)
+        class_degrees.append(degrees)
+        class_best_zones.append(best_zones)
+        class_leave.append(leave)
 
     split = np.array(mass_split, dtype=float)
     if split.shape != (NUM_STATES, p.num_zones):
@@ -211,7 +191,7 @@ def construct_equilibrium(
     rows = np.zeros((NUM_CLASSES, p.num_zones, p.num_actions))
     for cls in BehaviorClass:
         for z in range(p.num_zones):
-            degrees = class_best_degrees[cls][z]
+            degrees = class_degrees[cls][z]
             targets = class_best_zones[cls] if z in class_leave[cls] else (z,)
             share = 1.0 / (len(degrees) * len(targets))
             for a in degrees:
@@ -226,7 +206,6 @@ def check_equilibrium(
     p: ModelParams,
     tol: float = 1e-8,
     *,
-    healthy_q: str = "belief",
     infected_forced_home: bool = True,
 ) -> EquilibriumReport:
     """Measure how far a social state is from a stationary equilibrium.
@@ -235,15 +214,12 @@ def check_equilibrium(
     every state but the verdict only counts states that carry mass, since
     zero-mass states never bind; their worst gap is reported separately.
     The second condition is stationarity of the distribution under one
-    application of the kernel.
+    application of the kernel. Kernel and Q come from the same
+    :func:`~epigame.decision.day_terms` evaluation the dynamics step on.
     """
     if tol <= 0.0:
         raise ValidationError(f"tolerance must be positive; got {tol}")
-    validate_params(p)
-    kernel = transition_matrix(social, p)
-    rewards = expected_reward(social.policy, cfg)
-    values = value_function(kernel, rewards, p)
-    q = q_function(social, values, cfg, p)
+    kernel, q = day_terms(social, reward_table(cfg), p)
 
     rows = social.policy.state_rows()  # (5, Z, J)
     averaged = np.einsum("szj,szj->sz", rows, q)

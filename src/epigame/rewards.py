@@ -114,11 +114,11 @@ def lockdown_cost(
     o = np.asarray(benefit, dtype=float)
     a_max = o.size - 1
     if ld.ndim != 2 or ld.shape[0] != NUM_CLASSES:
-        raise ValidationError(f"lockdown degrees must have shape (3, Z); got {ld.shape}")
+        raise ValidationError(f"lockdown_degrees must have shape (3, Z); got {ld.shape}")
     if np.any(ld != np.floor(ld)) or np.any(ld < 0) or np.any(ld > a_max):
-        raise ValidationError(f"lockdown degrees must be integers in [0, {a_max}]")
+        raise ValidationError(f"lockdown_degrees must be integers in [0, {a_max}]")
     if multiplier <= 0.0:
-        raise ValidationError(f"lockdown multiplier must be positive; got {multiplier}")
+        raise ValidationError(f"lockdown_multiplier must be positive; got {multiplier}")
     ld = ld.astype(int)
     healthy, sympt, recov = (
         ld[BehaviorClass.HEALTHY],
@@ -127,7 +127,7 @@ def lockdown_cost(
     )
     if np.any(sympt > healthy) or np.any(healthy > recov):
         raise ValidationError(
-            "lockdown degrees must satisfy symptomatic <= healthy <= recovered "
+            "lockdown_degrees must satisfy symptomatic <= healthy <= recovered "
             "per zone, otherwise the cost ordering across states breaks"
         )
     degrees = np.arange(a_max + 1)

@@ -26,8 +26,9 @@ from .core import (
     StateDistribution,
     ValidationError,
     action_degrees,
+    is_integer,
+    is_real,
     uniform_no_move_policy,
-    validate_params,
 )
 from .decision import HEALTHY_Q_MODES
 from .rewards import RewardConfig, linear_benefit, lockdown_cost
@@ -61,32 +62,40 @@ class ScenarioConfig:
     subtract_initial_immune: bool = False
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("scenario name must be nonempty")
-        validate_params(self.params)
-        ld = np.array(self.lockdown_degrees, dtype=int)
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError(f"scenario name must be a nonempty string; got {self.name!r}")
+        zones = self.params.num_zones
+        ld = _table("lockdown_degrees", self.lockdown_degrees, (NUM_CLASSES, zones))
+        if np.any(ld != np.floor(ld)):
+            raise ValidationError("lockdown_degrees must be integers")
+        ld = ld.astype(int)
         ld.setflags(write=False)
         object.__setattr__(self, "lockdown_degrees", ld)
-        init = np.array(self.initial_dist, dtype=float)
-        init.setflags(write=False)
+        init = _table("initial_dist", self.initial_dist, (NUM_STATES, zones))
         object.__setattr__(self, "initial_dist", init)
         if self.benefit is not None:
-            o = np.array(self.benefit, dtype=float)
-            o.setflags(write=False)
-            object.__setattr__(self, "benefit", o)
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1; got {self.horizon}")
-        if self.extinction_threshold <= 0.0:
-            raise ValidationError("extinction_threshold must be positive")
-        if self.policy_settle_threshold <= 0.0:
-            raise ValidationError("policy_settle_threshold must be positive")
+            benefit = _table("benefit", self.benefit, (self.params.a_max + 1,))
+            object.__setattr__(self, "benefit", benefit)
+        if not is_integer(self.horizon) or self.horizon < 1:
+            raise ValidationError(f"horizon must be an integer >= 1; got {self.horizon!r}")
+        for name in ("lockdown_multiplier", "extinction_threshold", "policy_settle_threshold"):
+            value = getattr(self, name)
+            if not is_real(value) or value <= 0.0:
+                raise ValidationError(f"{name} must be a finite positive number; got {value!r}")
+        for name in ("infected_forced_home", "subtract_initial_immune"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValidationError(f"{name} must be true or false; got {value!r}")
         if self.healthy_q not in HEALTHY_Q_MODES:
             raise ValidationError(
                 f"healthy_q must be one of {HEALTHY_Q_MODES}; got {self.healthy_q!r}"
             )
         # Fail fast on inconsistent tables.
         self.reward_config()
-        StateDistribution(self.initial_dist)
+        try:
+            StateDistribution(self.initial_dist)
+        except ValidationError as exc:
+            raise ValidationError(f"initial_dist: {exc}") from None
 
     def reward_config(self) -> RewardConfig:
         o = self.benefit if self.benefit is not None else linear_benefit(self.params.a_max)
@@ -137,20 +146,35 @@ class ScenarioConfig:
         }
 
 
-_SCENARIO_KEYS = {
-    "name",
-    "params",
-    "lockdown_degrees",
+def _table(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a read-only float array of ``shape``; anything but numbers is rejected."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    if arr.dtype.kind not in "iuf" or arr.shape != shape:
+        raise ValidationError(
+            f"{name} must be a table of numbers of shape {shape}, as params.num_zones and "
+            f"params.a_max require; got {arr.dtype} entries of shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    arr = arr.astype(float)
+    arr.setflags(write=False)
+    return arr
+
+
+#: Optional one-value scenario fields: documents may set them, sweeps override them.
+_SCALAR_FIELDS = (
     "lockdown_multiplier",
-    "benefit",
-    "initial_dist",
     "horizon",
     "extinction_threshold",
     "policy_settle_threshold",
     "infected_forced_home",
     "healthy_q",
     "subtract_initial_immune",
-}
+)
+_SCENARIO_KEYS = {"name", "params", "lockdown_degrees", "initial_dist", "benefit", *_SCALAR_FIELDS}
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
@@ -173,40 +197,25 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     ld_doc = data["lockdown_degrees"]
     try:
-        lockdown = np.array(
-            [ld_doc[cls.name.lower()] for cls in BehaviorClass], dtype=int
-        )
+        lockdown = np.array([ld_doc[cls.name.lower()] for cls in BehaviorClass])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad lockdown_degrees table: {exc}") from exc
 
     init_doc = data["initial_dist"]
     try:
-        init = np.array([init_doc[s.name] for s in InfectionState], dtype=float)
+        init = np.array([init_doc[s.name] for s in InfectionState])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad initial_dist table: {exc}") from exc
 
     benefit = data.get("benefit", "linear")
-    benefit_arr = None if benefit == "linear" else np.array(benefit, dtype=float)
 
-    kwargs = {
-        key: data[key]
-        for key in (
-            "lockdown_multiplier",
-            "horizon",
-            "extinction_threshold",
-            "policy_settle_threshold",
-            "infected_forced_home",
-            "healthy_q",
-            "subtract_initial_immune",
-        )
-        if key in data
-    }
+    kwargs = {key: data[key] for key in _SCALAR_FIELDS if key in data}
     return ScenarioConfig(
         name=data["name"],
         params=params,
         lockdown_degrees=lockdown,
         initial_dist=init,
-        benefit=benefit_arr,
+        benefit=None if benefit == "linear" else benefit,
         **kwargs,
     )
 
@@ -340,37 +349,25 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def preset(name: str):
-    """Named scenario; ``fig3_sweep`` yields a list of configurations."""
+def _preset_entry(name: str):
     try:
-        builder, _ = _PRESETS[name]
+        return _PRESETS[name]
     except KeyError:
         raise ValidationError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         ) from None
-    return builder()
+
+
+def preset(name: str):
+    """Named scenario; ``fig3_sweep`` yields a list of configurations."""
+    return _preset_entry(name)[0]()
 
 
 def preset_description(name: str) -> str:
-    try:
-        return _PRESETS[name][1]
-    except KeyError:
-        raise ValidationError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-        ) from None
+    return _preset_entry(name)[1]
 
 
 # --- sweeps ----------------------------------------------------------------
-
-_TOP_LEVEL_SWEEPABLE = {
-    "horizon",
-    "lockdown_multiplier",
-    "extinction_threshold",
-    "policy_settle_threshold",
-    "infected_forced_home",
-    "healthy_q",
-    "subtract_initial_immune",
-}
 
 
 def _override(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
@@ -381,7 +378,7 @@ def _override(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
         return replace(cfg, params=replace(cfg.params, **{field: value}))
     if path.startswith("lockdown."):
         key = path[len("lockdown.") :]
-        ld = np.array(cfg.lockdown_degrees)
+        ld = np.array(cfg.lockdown_degrees, dtype=object)  # the constructor checks values
         if key == "all":
             ld[:] = value
         elif key.upper() in BehaviorClass.__members__:
@@ -391,8 +388,8 @@ def _override(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
                 f"unknown behavior class in sweep path {path!r}; "
                 "use healthy, symptomatic, recovered or all"
             )
-        return replace(cfg, lockdown_degrees=ld)
-    if path in _TOP_LEVEL_SWEEPABLE:
+        return replace(cfg, lockdown_degrees=ld.tolist())
+    if path in _SCALAR_FIELDS:
         return replace(cfg, **{path: value})
     raise ValidationError(f"unknown sweep field path {path!r}")
 

@@ -112,6 +112,80 @@ def test_simulate_input_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(odd)]) == 1
 
 
+def run_document(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+
+
+@pytest.mark.parametrize(
+    "section, key, value, field",
+    [
+        ("params", "alpha", "0.9", "alpha"),
+        ("params", "rationality", float("inf"), "rationality"),
+        (None, "horizon", "5", "horizon"),
+        (None, "infected_forced_home", "no", "infected_forced_home"),
+        (None, "initial_dist", {s: [0.0] for s in "SAIRU"} | {"S": [1.0]}, "initial_dist"),
+    ],
+)
+def test_simulate_rejects_malformed_values(tmp_path, capsys, section, key, value, field):
+    doc = replace(preset("fig4_migration"), horizon=3).to_dict()
+    (doc[section] if section else doc)[key] = value
+    assert run_document(tmp_path, doc) == 1
+    assert field in capsys.readouterr().err
+
+
+REAL_BAD = ["0.9", True, None, [0.5], {"v": 1}, float("inf"), float("nan")]
+INT_BAD = ["5", True, None, 2.5, [1], {"v": 1}]
+BOOL_BAD = ["no", 0, 1, None, [True], 1.0]
+ROW_BAD = [["0.1"], [None], [0.1, 0.2, 0.3], "x", [[0.1]], {"v": 1}]
+
+
+def malformations(doc):
+    """(field name, mutator) pairs that each break one field of ``doc``."""
+    out = []
+    for name, value in doc["params"].items():
+        bad = INT_BAD if name in ("num_zones", "a_max") else REAL_BAD
+        out += [(name, lambda d, n=name, v=v: d["params"].__setitem__(n, v)) for v in bad]
+    tops = {
+        "horizon": INT_BAD,
+        "lockdown_multiplier": REAL_BAD,
+        "extinction_threshold": REAL_BAD,
+        "policy_settle_threshold": REAL_BAD,
+        "infected_forced_home": BOOL_BAD,
+        "subtract_initial_immune": BOOL_BAD,
+        "healthy_q": [1, None, "sure", ["belief"]],
+        "name": ["", 1, None, ["x"]],
+        "benefit": ["cubic", [0.0, 1.0], [1.0] * 7, ["0"] * 7, {"v": 1}],
+        "initial_dist": ["x", None, [0.5]],
+        "lockdown_degrees": ["x", None, [2]],
+    }
+    for name, bad in tops.items():
+        out += [(name, lambda d, n=name, v=v: d.__setitem__(n, v)) for v in bad]
+    for name in ("initial_dist", "lockdown_degrees"):
+        for row in doc[name]:
+            out += [
+                (name, lambda d, n=name, r=row, v=v: d[n].__setitem__(r, v))
+                for v in ROW_BAD + [[2.5] * len(doc[name][row]), [9] * len(doc[name][row])]
+            ]
+    return out
+
+
+def test_malformed_scenario_documents_exit_1_naming_the_field(tmp_path, capsys):
+    rng = np.random.default_rng(31)
+    bases = [replace(preset(name), horizon=3).to_dict() for name in ("fig2a", "fig4_migration")]
+    for _ in range(120):
+        base = bases[rng.integers(len(bases))]
+        cases = malformations(base)
+        field, mutate = cases[rng.integers(len(cases))]
+        doc = json.loads(json.dumps(base))
+        mutate(doc)
+        code = run_document(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 1, (field, doc, err)
+        assert field in err, (field, err)
+
+
 # --- sweep -------------------------------------------------------------------
 
 

@@ -61,11 +61,28 @@ def test_valid_params_pass_through():
         {"a_max": 3.5},
         {"migration_cost": -0.5},
         {"illness_cost": -2.0},
+        {"alpha": "0.9"},
+        {"beta_A": True},
+        {"illness_cost": None},
+        {"rationality": float("inf")},
+        {"epsilon": float("nan")},
+        {"inertia": [0.2]},
+        {"num_zones": True},
+        {"a_max": "6"},
     ],
 )
 def test_invalid_params_rejected(overrides):
     with pytest.raises(ValidationError):
         validate_params(make_params(**overrides))
+
+
+def test_params_validate_on_construction_and_replace():
+    p = make_params()
+    with pytest.raises(ValidationError, match="alpha"):
+        dataclasses.replace(p, alpha=1.0)
+    with pytest.raises(ValidationError, match="rationality must be a finite real"):
+        dataclasses.replace(p, rationality=float("inf"))
+    assert dataclasses.replace(p, a_max=np.int64(3), alpha=np.float64(0.5)).a_max == 3
 
 
 def test_degenerate_zero_degree_params_allowed():

@@ -1,10 +1,13 @@
 """Value solve, deviation values, best responses and the logit update."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from epigame import (
     InfectionState,
+    NumericsError,
     Policy,
     SocialState,
     StateDistribution,
@@ -14,7 +17,9 @@ from epigame import (
     feasible_actions,
     logit_choice,
     policy_update,
+    preset,
     q_function,
+    simulate,
     transition_matrix,
     uniform_no_move_policy,
     value_function,
@@ -26,7 +31,8 @@ from epigame.core import (
     flatten_action,
     flatten_state_table,
 )
-from epigame.decision import TIE_TOL, class_q
+from epigame import decision
+from epigame.decision import TIE_TOL, class_q, day_terms
 from epigame.rewards import reward_table
 from conftest import make_params, random_reward_config, random_social
 
@@ -72,7 +78,45 @@ def test_value_matches_fixed_point_iteration():
         assert np.max(np.abs(flatten_state_table(values) - v)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "overrides, horizon",
+    [({"illness_cost": 1e7}, 2000), ({"alpha": 0.999999999}, 50)],
+)
+def test_value_gate_scales_with_the_rewards(overrides, horizon):
+    # An absolute 1e-10 gate rejected both runs on their first day
+    # (residuals 2.7e-10 and 2.1e-9).
+    cfg = preset("fig4_migration")
+    cfg = replace(cfg, params=replace(cfg.params, **overrides), horizon=horizon)
+    assert len(simulate(cfg).trajectory) > 1
+
+
+def test_value_gate_fires_on_a_corrupted_solve(monkeypatch):
+    rng = np.random.default_rng(24)
+    p = make_params(num_zones=2, a_max=3, alpha=0.9)
+    cfg = random_reward_config(rng, p)
+    social = random_social(rng, p)
+    kernel = transition_matrix(social, p)
+    rewards = expected_reward(social.policy, cfg)
+    value_function(kernel, rewards, p)
+    solve = np.linalg.solve
+    monkeypatch.setattr(decision.np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    with pytest.raises(NumericsError, match="residual"):
+        value_function(kernel, rewards, p)
+
+
 # --- deviation values -----------------------------------------------------------
+
+
+def test_day_terms_match_the_public_pieces():
+    rng = np.random.default_rng(25)
+    for num_zones in (1, 2, 3):
+        p = make_params(num_zones=num_zones, a_max=3)
+        cfg = random_reward_config(rng, p)
+        social = random_social(rng, p)
+        kernel, q = day_terms(social, reward_table(cfg), p)
+        expected_kernel, values = solved_value(social, cfg, p)
+        assert np.array_equal(kernel.matrix, expected_kernel.matrix)
+        assert np.array_equal(q, q_function(social, values, cfg, p))
 
 
 def test_q_equals_reward_table_when_myopic():

@@ -28,9 +28,17 @@ from epigame import (
     uniform_no_move_policy,
     value_function,
     expected_reward,
+    check_equilibrium,
     construct_equilibrium,
 )
-from epigame.core import NUM_CLASSES, NUM_STATES, BehaviorClass, flatten_action
+from epigame.core import (
+    NUM_CLASSES,
+    NUM_STATES,
+    BehaviorClass,
+    flatten_action,
+    unflatten_action,
+)
+from epigame.rewards import immediate_reward
 from epigame.dynamics import WAVE_PROMINENCE, StepRecord
 from conftest import make_params, random_social
 from test_equilibrium import two_zone_config, two_zone_params
@@ -159,11 +167,49 @@ def synthetic_record(day, dist_column, welfare=0.0):
     return StepRecord(
         day=day,
         social=social,
-        activity=None,
         mean_activation=np.zeros((3, 1)),
         migration_flow=np.zeros((1, 1)),
         welfare=welfare,
     )
+
+
+def test_three_zone_flow_and_welfare_match_loops_over_actions():
+    p = make_params(num_zones=3, a_max=2)
+    init = np.zeros((NUM_STATES, 3))
+    init[InfectionState.S] = (0.5, 0.3, 0.15)
+    init[InfectionState.I] = (0.05, 0.0, 0.0)
+    scenario = frozen_scenario(
+        params=p,
+        lockdown_degrees=np.array([[2, 1, 0], [2, 1, 0], [2, 2, 2]]),
+        initial_dist=init,
+        horizon=3,
+    )
+    cfg = scenario.reward_config()
+    records = simulate(scenario).trajectory.records
+    assert len(records) == 4
+    for rec in records:
+        d, rows = rec.social.dist.d, rec.social.policy.state_rows()
+        flow = np.zeros((3, 3))
+        welfare = 0.0
+        for s in range(NUM_STATES):
+            for z in range(3):
+                for j in range(p.num_actions):
+                    a, target = unflatten_action(j, p.a_max, 3)
+                    mass = d[s, z] * rows[s, z, j]
+                    flow[z, target] += mass
+                    welfare += mass * immediate_reward(s, z, a, target, cfg)
+        assert np.max(np.abs(rec.migration_flow - flow)) < 1e-15
+        assert rec.welfare == pytest.approx(welfare, abs=1e-12)
+    assert records[-1].migration_flow[0, 1] > 0.0  # off-diagonal flows are exercised
+
+
+def test_step_and_checker_reject_a_reward_config_of_other_dimensions():
+    social = preset("fig4_migration").initial_social()
+    one_zone = preset("fig2a")
+    with pytest.raises(ValidationError, match="reward table"):
+        step(social, one_zone.reward_config(), make_params(num_zones=2))
+    with pytest.raises(ValidationError, match="reward table"):
+        check_equilibrium(social, one_zone.reward_config(), make_params(num_zones=2))
 
 
 def test_trajectory_rejects_bad_day_sequences():

@@ -299,7 +299,7 @@ def brute_force_kernel(social, p):
 
 def test_transition_matrix_matches_brute_force():
     rng = np.random.default_rng(5)
-    for num_zones, a_max in ((1, 4), (2, 3), (3, 2)):
+    for num_zones, a_max in ((1, 4), (2, 3), (3, 2), (4, 2)):
         p = make_params(num_zones=num_zones, a_max=a_max)
         social = random_social(rng, p)
         kernel = transition_matrix(social, p)
