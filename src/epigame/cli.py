@@ -44,6 +44,8 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    NUM_CLASSES,
+    NUM_STATES,
     BehaviorClass,
     InfectionState,
     NumericsError,
@@ -51,6 +53,8 @@ from .core import (
     SocialState,
     StateDistribution,
     ValidationError,
+    is_integer,
+    numeric_table,
 )
 from .dynamics import SimulationResult, simulate
 from .equilibrium import check_equilibrium, construct_equilibrium
@@ -163,17 +167,25 @@ def read_social_state(path: Path, *, num_zones: int, a_max: int) -> SocialState:
         raise ValidationError(f"social state file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SOCIAL_STATE_FORMAT:
         raise ValidationError(f"{path} is not a social-state file")
-    if doc.get("num_zones") != num_zones or doc.get("a_max") != a_max:
+    dims = (doc.get("num_zones"), doc.get("a_max"))
+    if not all(map(is_integer, dims)) or dims != (num_zones, a_max):
         raise ValidationError(
-            f"social state dimensions (num_zones={doc.get('num_zones')}, "
-            f"a_max={doc.get('a_max')}) do not match the scenario "
-            f"(num_zones={num_zones}, a_max={a_max})"
+            f"social state dimensions (num_zones={dims[0]!r}, a_max={dims[1]!r}) must be "
+            f"the scenario's integers (num_zones={num_zones}, a_max={a_max})"
         )
-    try:
-        dist = StateDistribution(np.array(doc["dist"], dtype=float))
-        policy = Policy(np.array(doc["policy_class_rows"], dtype=float), a_max)
-    except KeyError as exc:
-        raise ValidationError(f"social state file {path} is missing key {exc}") from exc
+
+    def table(key, shape, build):
+        if key not in doc:
+            raise ValidationError(f"social state file {path} is missing key {key!r}")
+        values = numeric_table(f"social state {key}", doc[key], shape)
+        try:
+            return build(values)
+        except ValidationError as exc:
+            raise ValidationError(f"social state {key}: {exc}") from exc
+
+    dist = table("dist", (NUM_STATES, num_zones), StateDistribution)
+    rows_shape = (NUM_CLASSES, num_zones, (a_max + 1) * num_zones)
+    policy = table("policy_class_rows", rows_shape, lambda rows: Policy(rows, a_max))
     return SocialState(policy, dist)
 
 
@@ -203,7 +215,7 @@ def _single_scenario(args) -> ScenarioConfig:
         raise ValidationError(
             f"preset {args.preset!r} is a sweep of {len(scenario)} runs; use the sweep command"
         )
-    if getattr(args, "horizon", None):
+    if getattr(args, "horizon", None) is not None:
         scenario = replace(scenario, horizon=args.horizon)
     return scenario
 
@@ -284,11 +296,11 @@ def _sweep_points(args) -> list[tuple[dict, ScenarioConfig]]:
 
 def cmd_sweep(args) -> int:
     points = _sweep_points(args)
-    if args.horizon:
+    if args.horizon is not None:
         points = [(f, replace(cfg, horizon=args.horizon)) for f, cfg in points]
     if not points:
         raise ValidationError("sweep grid is empty")
-    jobs = args.jobs if args.jobs else min(len(points), os.cpu_count() or 1)
+    jobs = min(len(points), os.cpu_count() or 1) if args.jobs is None else args.jobs
     if jobs < 1:
         raise ValidationError(f"--jobs must be >= 1; got {args.jobs}")
 
@@ -352,7 +364,9 @@ def _parse_mass_split(entries: str, num_zones: int) -> np.ndarray:
         item = item.strip()
         if not item:
             continue
-        match = re.fullmatch(r"([SAIRU])\s*:\s*(\d+)\s*=\s*([0-9.eE+-]+)", item)
+        match = re.fullmatch(
+            r"([SAIRU])\s*:\s*(\d+)\s*=\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)", item
+        )
         if not match:
             raise ValidationError(
                 f"bad --split entry {item!r}; expected STATE:ZONE=MASS, e.g. S:0=0.9"
@@ -368,8 +382,9 @@ def _parse_mass_split(entries: str, num_zones: int) -> np.ndarray:
 def cmd_construct_equilibrium(args) -> int:
     scenario = _single_scenario(args)
     split = _parse_mass_split(args.split, scenario.params.num_zones)
+    cfg = scenario.reward_config()
     social = construct_equilibrium(
-        scenario.reward_config(),
+        cfg,
         scenario.params,
         split,
         infected_forced_home=scenario.infected_forced_home,
@@ -378,7 +393,7 @@ def cmd_construct_equilibrium(args) -> int:
     write_social_state(social, out)
     report = check_equilibrium(
         social,
-        scenario.reward_config(),
+        cfg,
         scenario.params,
         infected_forced_home=scenario.infected_forced_home,
     )

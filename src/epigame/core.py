@@ -118,6 +118,22 @@ def is_real(value) -> bool:
     return is_integer(value) or (isinstance(value, (float, np.floating)) and math.isfinite(value))
 
 
+def numeric_table(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a read-only float array of ``shape``; anything but numbers is rejected."""
+    arr = np.array(value, dtype=object)  # ragged nesting keeps its lists as entries
+    _require(arr.shape == shape, f"{name} must be a table of shape {shape}; got {arr.shape}")
+    bad = sorted(
+        kind.__name__
+        for kind in set(map(type, arr.flat))  # one check per entry type, not per entry
+        if issubclass(kind, bool) or not issubclass(kind, (int, float, np.integer, np.floating))
+    )
+    _require(not bad, f"{name} entries must be numbers; got {', '.join(bad)} entries")
+    arr = arr.astype(float)
+    _require(bool(np.all(np.isfinite(arr))), f"{name} contains non-finite entries")
+    arr.setflags(write=False)
+    return arr
+
+
 def validate_params(p: ModelParams) -> ModelParams:
     """Return ``p`` unchanged if every documented bound holds.
 

@@ -25,8 +25,8 @@ from .core import (
     flatten_state_table,
     unflatten_state_table,
 )
-from .epidemic import TransitionKernel, action_law, assemble_kernel
-from .rewards import RewardConfig, reward_table
+from .epidemic import TransitionKernel, assemble_kernel, idle_law, survival
+from .rewards import RewardConfig
 
 # Q values closer than this are treated as tied when picking best responses.
 TIE_TOL = 1e-9
@@ -66,16 +66,20 @@ def value_function(
 
 
 def lookahead_q(
-    per_action: np.ndarray, values: np.ndarray, table: np.ndarray, p: ModelParams
+    stay: np.ndarray, values: np.ndarray, table: np.ndarray, p: ModelParams
 ) -> np.ndarray:
     """Reward ``table`` (5, Z, J) plus discounted ``values`` of tomorrow's state.
 
-    Tomorrow's state follows ``per_action`` (5, Z, J, 5) and lies in the
-    action's target zone; the flat action axis splits into (target, degree).
+    Tomorrow lies in the action's target zone (the flat action axis splits
+    into target and degree). S survives with probability ``stay`` (Z,
+    a_max+1) or turns A; other states follow :func:`~epigame.epidemic.idle_law`.
     """
     zones, width = p.num_zones, p.a_max + 1
-    law = per_action.reshape(NUM_STATES, zones, zones, width, NUM_STATES)
-    tomorrow = np.einsum("sztdk,kt->sztd", law, values)
+    S, A = InfectionState.S, InfectionState.A
+    tomorrow = np.empty((NUM_STATES, zones, zones, width))
+    tomorrow[:] = (idle_law(p) @ values)[:, None, :, None]
+    stay = stay[:, None, :]  # (Z, 1, a_max+1) against (Z', 1) values
+    tomorrow[S] = stay * values[S][:, None] + (1.0 - stay) * values[A][:, None]
     return table + p.alpha * tomorrow.reshape(NUM_STATES, zones, p.num_actions)
 
 
@@ -93,7 +97,7 @@ def q_function(
     values = np.asarray(values, dtype=float)
     if values.shape != (NUM_STATES, p.num_zones):
         raise ValidationError(f"values must have shape (5, {p.num_zones}); got {values.shape}")
-    return lookahead_q(action_law(social, p), values, reward_table(cfg), p)
+    return lookahead_q(survival(social, p), values, cfg.table, p)
 
 
 def day_terms(
@@ -101,17 +105,18 @@ def day_terms(
 ) -> tuple[TransitionKernel, np.ndarray]:
     """One day's evaluation of a social state: its kernel and its Q table.
 
-    The per-action law is computed once and shared by the kernel, the value
+    The survival table is computed once and shared by the kernel, the value
     solve and the lookahead, so the dynamics and the equilibrium checker act
-    on the same Q. ``table`` is :func:`~epigame.rewards.reward_table`.
+    on the same Q. ``table`` is a :class:`~epigame.rewards.RewardConfig`'s
+    reward table.
     """
     rows = social.policy.state_rows()
     if table.shape != rows.shape:
         raise ValidationError(f"reward table shape {table.shape} does not match {rows.shape}")
-    per_action = action_law(social, p)
-    kernel = assemble_kernel(rows, per_action, p)
+    stay = survival(social, p)
+    kernel = assemble_kernel(rows, stay, p)
     values = value_function(kernel, np.einsum("szj,szj->sz", rows, table), p)
-    return kernel, lookahead_q(per_action, values, table, p)
+    return kernel, lookahead_q(stay, values, table, p)
 
 
 def feasible_actions(p: ModelParams, infected_forced_home: bool = True) -> np.ndarray:

@@ -23,7 +23,7 @@ from .core import (
     ValidationError,
 )
 from .decision import day_terms, logit_choice, policy_update
-from .rewards import RewardConfig, reward_table
+from .rewards import RewardConfig
 from .scenarios import ScenarioConfig
 
 WAVE_PROMINENCE = 0.01
@@ -138,10 +138,10 @@ class SimulationResult:
     metrics: EpidemicMetrics
 
 
-def _observe(day: int, social: SocialState, table: np.ndarray, p: ModelParams) -> StepRecord:
+def _observe(day: int, social: SocialState, cfg: RewardConfig, p: ModelParams) -> StepRecord:
     d = social.dist.d
     rows = social.policy.state_rows()  # (5, Z, J)
-    welfare = float(np.sum(d * np.einsum("szj,szj->sz", rows, table)))
+    welfare = float(np.sum(d * np.einsum("szj,szj->sz", rows, cfg.table)))
     by_target = rows.reshape(NUM_STATES, p.num_zones, p.num_zones, p.a_max + 1)
     flow = np.einsum("sz,sztd->zt", d, by_target)
     mean_act = social.policy.mean_degrees()
@@ -159,7 +159,7 @@ def step(
     infected_forced_home: bool = True,
 ) -> SocialState:
     """One simultaneous day update of policy and distribution."""
-    kernel, q = day_terms(social, reward_table(cfg), p)
+    kernel, q = day_terms(social, cfg.table, p)
     target = logit_choice(
         q, social.dist.d, p, healthy_q=healthy_q, infected_forced_home=infected_forced_home
     )
@@ -178,9 +178,8 @@ def simulate(scenario: ScenarioConfig) -> SimulationResult:
     """
     p = scenario.params
     cfg = scenario.reward_config()
-    table = reward_table(cfg)
     social = scenario.initial_social()
-    records = [_observe(0, social, table, p)]
+    records = [_observe(0, social, cfg, p)]
     policy_change = math.inf
     day = 0
     while day < scenario.horizon:
@@ -200,7 +199,7 @@ def simulate(scenario: ScenarioConfig) -> SimulationResult:
         policy_change = float(np.abs(nxt.policy.class_rows - social.policy.class_rows).max())
         social = nxt
         day += 1
-        records.append(_observe(day, social, table, p))
+        records.append(_observe(day, social, cfg, p))
     traj = Trajectory(tuple(records))
     return SimulationResult(
         scenario, traj, metrics(traj, subtract_initial_immune=scenario.subtract_initial_immune)

@@ -3,9 +3,9 @@
 Whether a susceptible agent gets infected depends on who else is out
 interacting in its zone, which in turn depends on the whole population's
 policy and distribution. This module computes per-zone activity masses,
-the encounter probabilities they induce, the per-action transition law of
-a single agent, and the policy-averaged transition kernel of the whole
-population.
+the encounter probabilities they induce, the transition law of a single
+agent (only a susceptible agent's depends on its action, through the
+survival table), and the policy-averaged kernel of the whole population.
 """
 
 from __future__ import annotations
@@ -119,6 +119,14 @@ def encounter_probs(masses: ActivityMasses, p: ModelParams) -> EncounterProbs:
     )
 
 
+def idle_law(p: ModelParams) -> np.ndarray:
+    """Next-state law (5, 5) at degree 0: a susceptible agent stays susceptible."""
+    _, A, I, R, U = InfectionState
+    law = np.diag([1.0, 1.0 - p.delta_A_I - p.delta_A_U, 1.0 - p.delta_I_R, 1.0, 1.0 - p.delta_U_R])
+    law[A, I], law[A, U], law[I, R], law[U, R] = p.delta_A_I, p.delta_A_U, p.delta_I_R, p.delta_U_R
+    return law
+
+
 def infection_transition(
     s: InfectionState | int,
     z: int,
@@ -137,52 +145,20 @@ def infection_transition(
     if not 0 <= z < p.num_zones:
         raise ValidationError(f"zone {z} out of range for {p.num_zones} zones")
     s = InfectionState(int(s))
-    out = np.zeros(NUM_STATES)
+    out = idle_law(p)[s]
     if s == InfectionState.S:
         pressure = p.beta_A * probs.asymptomatic[z] + p.beta_I * probs.symptomatic[z]
         stay = float(np.clip(1.0 - pressure, 0.0, 1.0)) ** a
-        out[InfectionState.S] = stay
-        out[InfectionState.A] = 1.0 - stay
-    elif s == InfectionState.A:
-        out[InfectionState.I] = p.delta_A_I
-        out[InfectionState.U] = p.delta_A_U
-        out[InfectionState.A] = 1.0 - p.delta_A_I - p.delta_A_U
-    elif s == InfectionState.I:
-        out[InfectionState.R] = p.delta_I_R
-        out[InfectionState.I] = 1.0 - p.delta_I_R
-    elif s == InfectionState.R:
-        out[InfectionState.R] = 1.0
-    else:
-        out[InfectionState.R] = p.delta_U_R
-        out[InfectionState.U] = 1.0 - p.delta_U_R
+        out[InfectionState.S], out[InfectionState.A] = stay, 1.0 - stay
     return out
 
 
-def infection_matrix(probs: EncounterProbs, p: ModelParams) -> np.ndarray:
-    """Vectorized form of :func:`infection_transition`.
-
-    Returns ``(5, Z, J, 5)``: current state, current zone, flat action,
-    next state. Zones and actions only matter for the susceptible row.
-    """
-    zones, width = p.num_zones, p.a_max + 1
-    deg = action_degrees(p.a_max, zones)
-    out = np.zeros((NUM_STATES, zones, width * zones, NUM_STATES))
-
+def survival(social: SocialState, p: ModelParams) -> np.ndarray:
+    """Chance (Z, a_max+1) that a susceptible agent stays S through ``degree`` contacts."""
+    probs = encounter_probs(activity_masses(social, p), p)
     pressure = p.beta_A * probs.asymptomatic + p.beta_I * probs.symptomatic  # (Z,)
     base = np.clip(1.0 - pressure, 0.0, 1.0)
-    stay = base[:, None] ** deg[None, :]  # (Z, J)
-    out[InfectionState.S, :, :, InfectionState.S] = stay
-    out[InfectionState.S, :, :, InfectionState.A] = 1.0 - stay
-
-    out[InfectionState.A, :, :, InfectionState.I] = p.delta_A_I
-    out[InfectionState.A, :, :, InfectionState.U] = p.delta_A_U
-    out[InfectionState.A, :, :, InfectionState.A] = 1.0 - p.delta_A_I - p.delta_A_U
-    out[InfectionState.I, :, :, InfectionState.R] = p.delta_I_R
-    out[InfectionState.I, :, :, InfectionState.I] = 1.0 - p.delta_I_R
-    out[InfectionState.R, :, :, InfectionState.R] = 1.0
-    out[InfectionState.U, :, :, InfectionState.R] = p.delta_U_R
-    out[InfectionState.U, :, :, InfectionState.U] = 1.0 - p.delta_U_R
-    return out
+    return base[:, None] ** np.arange(p.a_max + 1)[None, :]
 
 
 def state_transition(
@@ -206,27 +182,25 @@ def state_transition(
     return out
 
 
-def assemble_kernel(rows: np.ndarray, per_action: np.ndarray, p: ModelParams) -> TransitionKernel:
-    """Kernel of state rows (5, Z, J) acting through the per-action law (5, Z, J, 5).
+def assemble_kernel(rows: np.ndarray, stay: np.ndarray, p: ModelParams) -> TransitionKernel:
+    """Kernel of state rows (5, Z, J) under the survival table ``stay`` (Z, a_max+1).
 
-    The flat action axis splits into (target zone, degree), so the mass an
-    action sends to its target is a contraction over degrees alone.
+    The flat action axis splits into (target zone, degree). States other
+    than S progress by :func:`idle_law` wherever the class moves; the
+    susceptible mass an action sends to its target splits on ``stay``.
     """
     zones, width = p.num_zones, p.a_max + 1
-    joint = np.einsum(
-        "sztd,sztdk->szkt",
-        rows.reshape(NUM_STATES, zones, zones, width),
-        per_action.reshape(NUM_STATES, zones, zones, width, NUM_STATES),
-    )  # (5, Z, 5, Z')
+    S, A = InfectionState.S, InfectionState.A
+    by_target = rows.reshape(NUM_STATES, zones, zones, width)
+    moves = by_target.sum(axis=3)  # (5, Z, Z') migration marginal
+    joint = idle_law(p)[:, None, :, None] * moves[:, :, None, :]  # (5, Z, 5, Z')
+    kept = by_target[S] * stay[:, None, :]  # (Z, Z', a_max+1)
+    joint[S, :, S] = kept.sum(axis=2)
+    joint[S, :, A] = (by_target[S] - kept).sum(axis=2)
     flat = joint.transpose(1, 0, 3, 2).reshape(p.num_flat_states, p.num_flat_states)
     return TransitionKernel(flat, zones)
 
 
-def action_law(social: SocialState, p: ModelParams) -> np.ndarray:
-    """:func:`infection_matrix` under the encounters of a social state; (5, Z, J, 5)."""
-    return infection_matrix(encounter_probs(activity_masses(social, p), p), p)
-
-
 def transition_matrix(social: SocialState, p: ModelParams) -> TransitionKernel:
     """Policy-averaged one-day kernel of the population."""
-    return assemble_kernel(social.policy.state_rows(), action_law(social, p), p)
+    return assemble_kernel(social.policy.state_rows(), survival(social, p), p)

@@ -29,9 +29,10 @@ from .core import (
     StateDistribution,
     ValidationError,
     flatten_action,
+    is_real,
 )
 from .decision import TIE_TOL, day_terms, feasible_actions
-from .rewards import RewardConfig, reward_table
+from .rewards import RewardConfig
 
 # Representative infection state of each behavior class (cost tables of the
 # healthy states are identical by the RewardConfig invariant).
@@ -217,9 +218,9 @@ def check_equilibrium(
     application of the kernel. Kernel and Q come from the same
     :func:`~epigame.decision.day_terms` evaluation the dynamics step on.
     """
-    if tol <= 0.0:
-        raise ValidationError(f"tolerance must be positive; got {tol}")
-    kernel, q = day_terms(social, reward_table(cfg), p)
+    if not (is_real(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be a finite positive number; got {tol!r}")
+    kernel, q = day_terms(social, cfg.table, p)
 
     rows = social.policy.state_rows()  # (5, Z, J)
     averaged = np.einsum("szj,szj->sz", rows, q)

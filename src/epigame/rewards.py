@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,8 @@ class RewardConfig:
     showed symptoms are treated alike), at least as high for I, and no
     higher for R than for the healthy states. The builder in
     :func:`lockdown_cost` guarantees this by keying the lockdown degree on
-    the behavior class.
+    the behavior class. ``table`` is derived on construction: the immediate
+    reward of every (state, zone, flat action), shape (5, Z, J).
     """
 
     benefit: np.ndarray  # (a_max+1,) reward of activating at each degree
@@ -35,6 +36,7 @@ class RewardConfig:
     migration_cost: float
     illness_cost: float
     lockdown_degrees: np.ndarray | None = None  # (3, Z) when built from a lockdown table
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         o = np.array(self.benefit, dtype=float)
@@ -82,6 +84,14 @@ class RewardConfig:
             ld = np.array(self.lockdown_degrees, dtype=int)
             ld.setflags(write=False)
             object.__setattr__(self, "lockdown_degrees", ld)
+
+        zones = self.num_zones
+        deg = action_degrees(self.a_max, zones)
+        moves = action_targets(self.a_max, zones)[None, :] != np.arange(zones)[:, None]  # (Z, J)
+        r = o[deg][None, None, :] - c[:, :, deg] - self.migration_cost * moves[None, :, :]
+        r[InfectionState.I] -= self.illness_cost
+        r.setflags(write=False)
+        object.__setattr__(self, "table", r)
 
     @property
     def num_zones(self) -> int:
@@ -138,14 +148,7 @@ def lockdown_cost(
 
 def reward_table(cfg: RewardConfig) -> np.ndarray:
     """Immediate reward of every (state, zone, flat action); shape (5, Z, J)."""
-    zones, a_max = cfg.num_zones, cfg.a_max
-    deg = action_degrees(a_max, zones)
-    tgt = action_targets(a_max, zones)
-    r = cfg.benefit[deg][None, None, :] - cfg.activation_cost[:, :, deg]
-    moves = tgt[None, :] != np.arange(zones)[:, None]  # (Z, J)
-    r = r - cfg.migration_cost * moves[None, :, :]
-    r[InfectionState.I] -= cfg.illness_cost
-    return r
+    return cfg.table
 
 
 def immediate_reward(
@@ -176,4 +179,4 @@ def expected_reward(policy: Policy, cfg: RewardConfig) -> np.ndarray:
             f"policy dimensions ({policy.num_zones} zones, a_max={policy.a_max}) do not "
             f"match reward config ({cfg.num_zones} zones, a_max={cfg.a_max})"
         )
-    return np.einsum("szj,szj->sz", policy.state_rows(), reward_table(cfg))
+    return np.einsum("szj,szj->sz", policy.state_rows(), cfg.table)

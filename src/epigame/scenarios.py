@@ -28,6 +28,7 @@ from .core import (
     action_degrees,
     is_integer,
     is_real,
+    numeric_table,
     uniform_no_move_policy,
 )
 from .decision import HEALTHY_Q_MODES
@@ -65,16 +66,16 @@ class ScenarioConfig:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError(f"scenario name must be a nonempty string; got {self.name!r}")
         zones = self.params.num_zones
-        ld = _table("lockdown_degrees", self.lockdown_degrees, (NUM_CLASSES, zones))
+        ld = numeric_table("lockdown_degrees", self.lockdown_degrees, (NUM_CLASSES, zones))
         if np.any(ld != np.floor(ld)):
             raise ValidationError("lockdown_degrees must be integers")
         ld = ld.astype(int)
         ld.setflags(write=False)
         object.__setattr__(self, "lockdown_degrees", ld)
-        init = _table("initial_dist", self.initial_dist, (NUM_STATES, zones))
+        init = numeric_table("initial_dist", self.initial_dist, (NUM_STATES, zones))
         object.__setattr__(self, "initial_dist", init)
         if self.benefit is not None:
-            benefit = _table("benefit", self.benefit, (self.params.a_max + 1,))
+            benefit = numeric_table("benefit", self.benefit, (self.params.a_max + 1,))
             object.__setattr__(self, "benefit", benefit)
         if not is_integer(self.horizon) or self.horizon < 1:
             raise ValidationError(f"horizon must be an integer >= 1; got {self.horizon!r}")
@@ -144,24 +145,6 @@ class ScenarioConfig:
             "healthy_q": self.healthy_q,
             "subtract_initial_immune": self.subtract_initial_immune,
         }
-
-
-def _table(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as a read-only float array of ``shape``; anything but numbers is rejected."""
-    try:
-        arr = np.array(value)
-    except ValueError:  # ragged nesting
-        arr = np.array(None)
-    if arr.dtype.kind not in "iuf" or arr.shape != shape:
-        raise ValidationError(
-            f"{name} must be a table of numbers of shape {shape}, as params.num_zones and "
-            f"params.a_max require; got {arr.dtype} entries of shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    arr = arr.astype(float)
-    arr.setflags(write=False)
-    return arr
 
 
 #: Optional one-value scenario fields: documents may set them, sweeps override them.

@@ -186,6 +186,77 @@ def test_malformed_scenario_documents_exit_1_naming_the_field(tmp_path, capsys):
         assert field in err, (field, err)
 
 
+STATE_TABLE_BAD = ["abc", None, 0.5, [[0.5]], {"v": 1}, [[0.5, "x"]]]
+SPLIT_BAD_MASSES = ["1e-3-", "..", "1e", "+-1", "e5", "-", "1.2.3", "1e+"]
+
+
+def state_malformations(doc):
+    """(field name, mutator) pairs that each break one field of a social-state ``doc``."""
+    out = []
+    for name in ("num_zones", "a_max"):
+        bad = [float(doc[name]), True, str(doc[name]), None, [doc[name]]]
+        out += [(name, lambda d, n=name, v=v: d.__setitem__(n, v)) for v in bad]
+    for name in ("dist", "policy_class_rows"):
+        out += [(name, lambda d, n=name, v=v: d.__setitem__(n, v)) for v in STATE_TABLE_BAD]
+        out += [(name, lambda d, n=name, v=v: d[n].__setitem__(0, v)) for v in ROW_BAD]
+        out.append((name, lambda d, n=name: d.pop(n)))
+    return out
+
+
+def test_malformed_state_documents_and_splits_exit_1_naming_the_field(tmp_path, capsys):
+    rng = np.random.default_rng(31)
+    cfg_path = write_config(tmp_path, preset("fig4_migration"))
+    state = tmp_path / "state.json"
+    assert main(["construct-equilibrium", "--config", str(cfg_path),
+                 "--split", "S:0=0.6,R:0=0.2,R:1=0.2", "--out", str(state)]) == 0
+    base = json.loads(state.read_text())
+    bad = tmp_path / "bad.json"
+    for _ in range(80):
+        cases = state_malformations(base)
+        field, mutate = cases[rng.integers(len(cases))]
+        doc = json.loads(json.dumps(base))
+        mutate(doc)
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["check-equilibrium", "--config", str(cfg_path), "--state", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1, (field, doc, err)
+        assert field in err, (field, err)
+    for _ in range(40):
+        entry = f"{'SR'[rng.integers(2)]}:{rng.integers(2)}={rng.choice(SPLIT_BAD_MASSES)}"
+        split = ",".join(rng.permutation(["S:0=0.5", entry]))
+        code = main(["construct-equilibrium", "--config", str(cfg_path), "--split", split,
+                     "--out", str(tmp_path / "split.json")])
+        err = capsys.readouterr().err
+        assert code == 1, (split, err)
+        assert "--split" in err, (split, err)
+
+
+def test_zero_and_non_finite_flag_values_exit_1_naming_the_flag(tmp_path, capsys):
+    cfg_path = str(write_config(tmp_path, replace(preset("fig2b"), horizon=12)))
+    fig4_path = str(write_config(tmp_path, preset("fig4_migration"), "fig4.json"))
+    state = str(tmp_path / "state.json")
+    assert main(["construct-equilibrium", "--config", fig4_path,
+                 "--split", "S:0=1.0", "--out", state]) == 0
+    sweep = ["sweep", "--config", cfg_path, "--grid", "lockdown.all=1,3",
+             "--out", str(tmp_path / "sweep")]
+    check = ["check-equilibrium", "--config", fig4_path, "--state", state]
+    cases = [
+        (["simulate", "--preset", "fig2a", "--horizon", "0", "--out", str(tmp_path / "run")],
+         "horizon"),
+        (sweep + ["--jobs", "1", "--horizon", "0"], "horizon"),
+        (sweep + ["--jobs", "0"], "--jobs"),
+        (check + ["--tol", "nan"], "tol"),
+        (check + ["--tol", "inf"], "tol"),
+    ]
+    capsys.readouterr()
+    for argv, flag in cases:
+        assert main(argv) == 1, argv
+        assert flag in capsys.readouterr().err, argv
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "sweep").exists()
+
+
 # --- sweep -------------------------------------------------------------------
 
 

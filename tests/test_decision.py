@@ -15,11 +15,13 @@ from epigame import (
     best_response,
     expected_reward,
     feasible_actions,
+    immediate_reward,
     logit_choice,
     policy_update,
     preset,
     q_function,
     simulate,
+    state_transition,
     transition_matrix,
     uniform_no_move_policy,
     value_function,
@@ -30,6 +32,7 @@ from epigame.core import (
     action_degrees,
     flatten_action,
     flatten_state_table,
+    unflatten_action,
 )
 from epigame import decision
 from epigame.decision import TIE_TOL, class_q, day_terms
@@ -117,6 +120,23 @@ def test_day_terms_match_the_public_pieces():
         expected_kernel, values = solved_value(social, cfg, p)
         assert np.array_equal(kernel.matrix, expected_kernel.matrix)
         assert np.array_equal(q, q_function(social, values, cfg, p))
+
+
+@pytest.mark.parametrize("num_zones, a_max", [(1, 0), (1, 4), (2, 3), (3, 2)])
+def test_q_matches_brute_force_lookahead(num_zones, a_max):
+    rng = np.random.default_rng(26)
+    p = make_params(num_zones=num_zones, a_max=a_max)
+    cfg = random_reward_config(rng, p)
+    social = random_social(rng, p)
+    _, values = solved_value(social, cfg, p)
+    q = q_function(social, values, cfg, p)
+    for s in range(NUM_STATES):
+        for z in range(num_zones):
+            for j in range(p.num_actions):
+                a, target = unflatten_action(j, a_max, num_zones)
+                tomorrow = np.sum(state_transition(s, z, a, target, social, p) * values)
+                expected = immediate_reward(s, z, a, target, cfg) + p.alpha * tomorrow
+                assert abs(q[s, z, j] - expected) <= 1e-12
 
 
 def test_q_equals_reward_table_when_myopic():

@@ -27,7 +27,7 @@ from epigame.core import (
     flatten_state,
     unflatten_action,
 )
-from epigame.epidemic import infection_matrix
+from epigame.epidemic import idle_law, survival
 from conftest import make_params, random_dist, random_social
 
 
@@ -233,25 +233,26 @@ def test_degree_composition_of_susceptible_survival():
         assert row[0] == base**a
 
 
-# --- vectorized infection table ---------------------------------------------
+# --- survival table -------------------------------------------------------------
 
 
-def test_infection_matrix_matches_scalar_rows():
+def test_survival_matches_scalar_rows():
     p = make_params(num_zones=3, a_max=2)
-    rng = np.random.default_rng(7)
-    gam = rng.dirichlet(np.ones(3), size=3)  # rows: (no_partner, asym, sym) per zone
-    probs = EncounterProbs(
-        no_partner=gam[:, 0], asymptomatic=gam[:, 1], symptomatic=gam[:, 2]
-    )
-    table = infection_matrix(probs, p)
-    assert table.shape == (NUM_STATES, 3, p.num_actions, NUM_STATES)
+    social = random_social(np.random.default_rng(7), p)
+    probs = encounter_probs(activity_masses(social, p), p)
+    stay = survival(social, p)
+    assert stay.shape == (3, p.a_max + 1)
+    law = idle_law(p)
     for s in range(NUM_STATES):
         for z in range(3):
             for j in range(p.num_actions):
                 a, _ = unflatten_action(j, p.a_max, 3)
                 expected = infection_transition(s, z, a, probs, p)
-                assert np.array_equal(table[s, z, j], expected)
-    assert table.sum(axis=-1) == pytest.approx(np.ones((NUM_STATES, 3, p.num_actions)))
+                row = law[s].copy()
+                if s == InfectionState.S:
+                    row[InfectionState.S], row[InfectionState.A] = stay[z, a], 1.0 - stay[z, a]
+                assert np.array_equal(row, expected)
+    assert law.sum(axis=-1) == pytest.approx(np.ones(NUM_STATES))
 
 
 # --- single-agent joint transition ----------------------------------------------
