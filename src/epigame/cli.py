@@ -260,17 +260,13 @@ def _sweep_points(args) -> list[tuple[dict, ScenarioConfig]]:
             raise ValidationError("--preset cannot be combined with --config/--grid")
         if args.preset == "fig3_sweep":
             return fig3_points()
-        built = preset(args.preset)
-        if isinstance(built, list):
-            return [({"run": cfg.name}, cfg) for cfg in built]
+        preset(args.preset)  # an unknown name raises here
         raise ValidationError(
             f"preset {args.preset!r} is a single scenario; use the simulate command"
         )
     if not args.config or not args.grid:
         raise ValidationError("sweep needs --preset, or --config together with --grid")
     base = _load_scenario(args)
-    if isinstance(base, list):
-        raise ValidationError("--config must name a single scenario")
     paths, value_lists = [], []
     for entry in args.grid:
         if "=" not in entry:
@@ -383,12 +379,12 @@ def cmd_construct_equilibrium(args) -> int:
     scenario = _single_scenario(args)
     split = _parse_mass_split(args.split, scenario.params.num_zones)
     cfg = scenario.reward_config()
-    social = construct_equilibrium(
-        cfg,
-        scenario.params,
-        split,
-        infected_forced_home=scenario.infected_forced_home,
-    )
+    try:
+        social = construct_equilibrium(
+            cfg, scenario.params, split, infected_forced_home=scenario.infected_forced_home
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"--split: {exc}") from None
     out = Path(args.out) if args.out else Path(f"{_safe_dirname(scenario.name)}-equilibrium.json")
     write_social_state(social, out)
     report = check_equilibrium(

@@ -135,14 +135,14 @@ def best_response(
     q: np.ndarray,
     s: InfectionState | int,
     z: int,
-    tie_tol: float = TIE_TOL,
+    *,
     feasible: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Flat indices of all actions within ``tie_tol`` of the best Q value."""
+    """Flat indices of all actions within ``TIE_TOL`` of the best Q value."""
     row = np.asarray(q)[int(s), z]
     allowed = np.ones(row.shape, dtype=bool) if feasible is None else np.asarray(feasible, bool)
     best = row[allowed].max()
-    return np.flatnonzero((row >= best - tie_tol) & allowed)
+    return np.flatnonzero((row >= best - TIE_TOL) & allowed)
 
 
 def class_q(

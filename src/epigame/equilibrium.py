@@ -72,9 +72,7 @@ class EquilibriumReport:
     occupied: np.ndarray  # (5, Z) boolean mask of states carrying mass
 
 
-def _partition(
-    net: np.ndarray, alpha: float, migration_cost: float, tie_tol: float
-) -> tuple:
+def _partition(net: np.ndarray, alpha: float, migration_cost: float) -> tuple:
     """Optima of one state's (Z, a_max+1) activation rewards and the zone partition.
 
     Returns the best reward and its tied degrees per zone, the best reward
@@ -82,10 +80,10 @@ def _partition(
     """
     values = net.max(axis=1)
     degrees = tuple(
-        tuple(int(a) for a in np.flatnonzero(row >= top - tie_tol)) for row, top in zip(net, values)
+        tuple(int(a) for a in np.flatnonzero(row >= top - TIE_TOL)) for row, top in zip(net, values)
     )
     best = float(values.max())
-    best_zones = tuple(int(z) for z in np.flatnonzero(values >= best - tie_tol))
+    best_zones = tuple(int(z) for z in np.flatnonzero(values >= best - TIE_TOL))
     threshold = math.inf if alpha == 0.0 else (1.0 - alpha) / alpha * migration_cost
     leave = tuple(
         int(z)
@@ -96,9 +94,7 @@ def _partition(
     return values, degrees, best, best_zones, leave, neutral
 
 
-def classify_zones(
-    cfg: RewardConfig, p: ModelParams, tie_tol: float = TIE_TOL
-) -> ZoneClassification:
+def classify_zones(cfg: RewardConfig, p: ModelParams) -> ZoneClassification:
     """Activation optima per (state, zone) and the zone partition per state.
 
     A zone lands in ``leave_zones[s]`` when the best zone's activation
@@ -108,7 +104,7 @@ def classify_zones(
     """
     net = cfg.benefit[None, None, :] - cfg.activation_cost  # (5, Z, a_max+1)
     values, degrees, best, best_zones, leave, neutral = zip(
-        *(_partition(net[s], p.alpha, cfg.migration_cost, tie_tol) for s in range(NUM_STATES))
+        *(_partition(net[s], p.alpha, cfg.migration_cost) for s in range(NUM_STATES))
     )
     act_value, best_value = np.array(values), np.array(best)
     act_value.setflags(write=False)
@@ -127,13 +123,12 @@ def dominant_activation(
     cfg: RewardConfig,
     z: int,
     s: InfectionState | int = InfectionState.R,
-    tie_tol: float = TIE_TOL,
 ) -> tuple[int, ...]:
     """Degrees maximizing the activation reward for state ``s`` in zone ``z``."""
     if not 0 <= z < cfg.num_zones:
         raise ValidationError(f"zone {z} out of range for {cfg.num_zones} zones")
     net = cfg.benefit - cfg.activation_cost[int(s), z]
-    return tuple(int(a) for a in np.flatnonzero(net >= net.max() - tie_tol))
+    return tuple(int(a) for a in np.flatnonzero(net >= net.max() - TIE_TOL))
 
 
 def construct_equilibrium(
@@ -142,7 +137,6 @@ def construct_equilibrium(
     mass_split: np.ndarray,
     *,
     infected_forced_home: bool = True,
-    tie_tol: float = TIE_TOL,
 ) -> SocialState:
     """Build a stationary equilibrium carrying the requested mass.
 
@@ -156,14 +150,14 @@ def construct_equilibrium(
     if cfg.num_zones != p.num_zones or cfg.a_max != p.a_max:
         raise ValidationError("reward config dimensions do not match the parameters")
 
-    # Per-class activation optima; the symptomatic class may be support
-    # restricted to degree 0.
+    # Per-class activation optima over the feasible degrees (those of the
+    # actions targeting zone 0); the symptomatic class may be confined.
+    degree_mask = feasible_actions(p, infected_forced_home)[:, : p.a_max + 1]
     class_degrees, class_best_zones, class_leave = [], [], []
     for cls in BehaviorClass:
         net = cfg.benefit[None, :] - cfg.activation_cost[_CLASS_STATE[cls]]  # (Z, a_max+1)
-        if cls == BehaviorClass.SYMPTOMATIC and infected_forced_home:
-            net = net[:, :1]  # only degree 0 is available
-        _, degrees, _, best_zones, leave, _ = _partition(net, p.alpha, cfg.migration_cost, tie_tol)
+        net = np.where(degree_mask[cls], net, -np.inf)
+        _, degrees, _, best_zones, leave, _ = _partition(net, p.alpha, cfg.migration_cost)
         class_degrees.append(degrees)
         class_best_zones.append(best_zones)
         class_leave.append(leave)

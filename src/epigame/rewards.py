@@ -35,7 +35,6 @@ class RewardConfig:
     activation_cost: np.ndarray  # (5, Z, a_max+1)
     migration_cost: float
     illness_cost: float
-    lockdown_degrees: np.ndarray | None = None  # (3, Z) when built from a lockdown table
     table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -80,10 +79,6 @@ class RewardConfig:
             raise ValidationError(f"migration_cost must be >= 0; got {self.migration_cost}")
         if self.illness_cost < 0.0:
             raise ValidationError(f"illness_cost must be >= 0; got {self.illness_cost}")
-        if self.lockdown_degrees is not None:
-            ld = np.array(self.lockdown_degrees, dtype=int)
-            ld.setflags(write=False)
-            object.__setattr__(self, "lockdown_degrees", ld)
 
         zones = self.num_zones
         deg = action_degrees(self.a_max, zones)

@@ -11,7 +11,7 @@ migration dynamics emerge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,13 +25,12 @@ from .core import (
     SocialState,
     StateDistribution,
     ValidationError,
-    action_degrees,
     is_integer,
     is_real,
     numeric_table,
     uniform_no_move_policy,
 )
-from .decision import HEALTHY_Q_MODES
+from .decision import HEALTHY_Q_MODES, feasible_actions
 from .rewards import RewardConfig, linear_benefit, lockdown_cost
 
 DEFAULT_HORIZON = 300
@@ -61,17 +60,15 @@ class ScenarioConfig:
     infected_forced_home: bool = True
     healthy_q: str = "belief"
     subtract_initial_immune: bool = False
+    # Built and checked on construction, from the fields above.
+    _rewards: RewardConfig = field(init=False, repr=False)
+    _initial_dist: StateDistribution = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError(f"scenario name must be a nonempty string; got {self.name!r}")
         zones = self.params.num_zones
         ld = numeric_table("lockdown_degrees", self.lockdown_degrees, (NUM_CLASSES, zones))
-        if np.any(ld != np.floor(ld)):
-            raise ValidationError("lockdown_degrees must be integers")
-        ld = ld.astype(int)
-        ld.setflags(write=False)
-        object.__setattr__(self, "lockdown_degrees", ld)
         init = numeric_table("initial_dist", self.initial_dist, (NUM_STATES, zones))
         object.__setattr__(self, "initial_dist", init)
         if self.benefit is not None:
@@ -91,23 +88,24 @@ class ScenarioConfig:
             raise ValidationError(
                 f"healthy_q must be one of {HEALTHY_Q_MODES}; got {self.healthy_q!r}"
             )
-        # Fail fast on inconsistent tables.
-        self.reward_config()
+        o = self.benefit if self.benefit is not None else linear_benefit(self.params.a_max)
+        rewards = RewardConfig(
+            benefit=o,
+            activation_cost=lockdown_cost(ld, o, self.lockdown_multiplier),
+            migration_cost=self.params.migration_cost,
+            illness_cost=self.params.illness_cost,
+        )
+        object.__setattr__(self, "_rewards", rewards)
+        ld = ld.astype(int)  # lockdown_cost has checked the entries are integers
+        ld.setflags(write=False)
+        object.__setattr__(self, "lockdown_degrees", ld)
         try:
-            StateDistribution(self.initial_dist)
+            object.__setattr__(self, "_initial_dist", StateDistribution(init))
         except ValidationError as exc:
             raise ValidationError(f"initial_dist: {exc}") from None
 
     def reward_config(self) -> RewardConfig:
-        o = self.benefit if self.benefit is not None else linear_benefit(self.params.a_max)
-        cost = lockdown_cost(self.lockdown_degrees, o, self.lockdown_multiplier)
-        return RewardConfig(
-            benefit=o,
-            activation_cost=cost,
-            migration_cost=self.params.migration_cost,
-            illness_cost=self.params.illness_cost,
-            lockdown_degrees=self.lockdown_degrees,
-        )
+        return self._rewards
 
     def initial_social(self) -> SocialState:
         """Uniform stay-home policy over degrees plus the initial distribution.
@@ -119,11 +117,11 @@ class ScenarioConfig:
         policy = uniform_no_move_policy(self.params)
         if self.infected_forced_home:
             rows = np.array(policy.class_rows)
-            keep = action_degrees(self.params.a_max, self.params.num_zones) == 0
+            keep = feasible_actions(self.params)[BehaviorClass.SYMPTOMATIC]
             srow = rows[BehaviorClass.SYMPTOMATIC] * keep
             rows[BehaviorClass.SYMPTOMATIC] = srow / srow.sum(axis=-1, keepdims=True)
             policy = Policy(rows, self.params.a_max)
-        return SocialState(policy, StateDistribution(self.initial_dist))
+        return SocialState(policy, self._initial_dist)
 
     def to_dict(self) -> dict:
         return {
@@ -355,10 +353,10 @@ def preset_description(name: str) -> str:
 
 def _override(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
     if path.startswith("params."):
-        field = path[len("params.") :]
-        if field not in {f.name for f in fields(ModelParams)}:
+        name = path[len("params.") :]
+        if name not in {f.name for f in fields(ModelParams)}:
             raise ValidationError(f"unknown model parameter in sweep path {path!r}")
-        return replace(cfg, params=replace(cfg.params, **{field: value}))
+        return replace(cfg, params=replace(cfg.params, **{name: value}))
     if path.startswith("lockdown."):
         key = path[len("lockdown.") :]
         ld = np.array(cfg.lockdown_degrees, dtype=object)  # the constructor checks values

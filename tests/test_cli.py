@@ -248,6 +248,8 @@ def test_zero_and_non_finite_flag_values_exit_1_naming_the_flag(tmp_path, capsys
         (sweep + ["--jobs", "0"], "--jobs"),
         (check + ["--tol", "nan"], "tol"),
         (check + ["--tol", "inf"], "tol"),
+        (["construct-equilibrium", "--config", fig4_path, "--split", "S:0=0.5"], "--split"),
+        (["construct-equilibrium", "--config", fig4_path, "--split", "S:0=1e999"], "--split"),
     ]
     capsys.readouterr()
     for argv, flag in cases:

@@ -21,7 +21,7 @@ from epigame import (
     uniform_no_move_policy,
     value_function,
 )
-from epigame.core import NUM_STATES, BehaviorClass, flatten_action
+from epigame.core import NUM_STATES, BehaviorClass, flatten_action, unflatten_action
 from conftest import make_params
 
 
@@ -188,6 +188,21 @@ def test_constructed_symptomatic_row_stays_home_when_confined():
     for z in range(2):
         row = social.policy.class_rows[BehaviorClass.SYMPTOMATIC, z]
         assert row[flatten_action(0, z, 6, 2)] == 1.0
+
+
+def test_constructed_symptomatic_rows_follow_the_forced_home_flag():
+    cfg = two_zone_config()
+    p = two_zone_params()
+    split = np.zeros((NUM_STATES, 2))
+    split[InfectionState.S, 0] = 1.0
+    for confined in (True, False):
+        social = construct_equilibrium(cfg, p, split, infected_forced_home=confined)
+        for z in range(2):
+            row = social.policy.class_rows[BehaviorClass.SYMPTOMATIC, z]
+            used = {unflatten_action(int(j), 6, 2)[0] for j in np.flatnonzero(row)}
+            dominant = set(dominant_activation(cfg, z, InfectionState.I))
+            assert used == ({0} if confined else dominant), (confined, z)
+        assert check_equilibrium(social, cfg, p, infected_forced_home=confined).verdict
 
 
 def test_construct_spreads_uniformly_over_tied_optima():

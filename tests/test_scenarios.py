@@ -1,6 +1,7 @@
 """Preset catalog, scenario documents and grid sweeps."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from epigame import (
     ScenarioConfig,
     ValidationError,
     fig3_points,
+    linear_benefit,
+    lockdown_cost,
     preset,
     preset_description,
     scenario_from_dict,
@@ -172,6 +175,18 @@ def test_scenario_rejections():
         frozen_scenario(lockdown_degrees=np.array([[2], [3], [6]]))
     with pytest.raises(ValidationError):
         frozen_scenario(initial_dist=np.full((5, 1), 0.3))
+
+
+def test_scenario_keeps_the_tables_it_validated():
+    cfg = frozen_scenario()
+    assert cfg.reward_config() is cfg.reward_config()
+    assert cfg.initial_social().dist is cfg.initial_social().dist
+    looser = replace(cfg, lockdown_degrees=np.array([[4], [3], [6]]))
+    expected = lockdown_cost(np.array([[4], [3], [6]]), linear_benefit(6), 3.0)
+    assert np.array_equal(looser.reward_config().activation_cost, expected)
+    assert not np.array_equal(cfg.reward_config().activation_cost, expected)
+    with pytest.raises(ValidationError, match="lockdown_degrees"):
+        frozen_scenario(lockdown_degrees=np.array([[2.5], [2], [6]]))
 
 
 def test_initial_social_confines_the_symptomatic():
