@@ -231,9 +231,9 @@ class StateDistribution:
         d = np.array(self.d, dtype=float)
         if d.ndim != 2 or d.shape[0] != NUM_STATES:
             raise ValidationError(f"distribution must have shape (5, Z); got {d.shape}")
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise ValidationError("distribution contains non-finite entries")
-        if np.any(d < 0.0):
+        if (d < 0.0).any():
             raise ValidationError(f"distribution has negative mass (min {d.min()})")
         total = float(d.sum())
         if abs(total - 1.0) > PROB_TOL:
@@ -275,25 +275,7 @@ class Policy:
     a_max: int
 
     def __post_init__(self) -> None:
-        rows = np.array(self.class_rows, dtype=float)
-        if rows.ndim != 3 or rows.shape[0] != NUM_CLASSES:
-            raise ValidationError(f"policy rows must have shape (3, Z, J); got {rows.shape}")
-        zones = rows.shape[1]
-        expected = (self.a_max + 1) * zones
-        if rows.shape[2] != expected:
-            raise ValidationError(
-                f"policy rows have {rows.shape[2]} actions; expected {expected} "
-                f"for a_max={self.a_max} and {zones} zones"
-            )
-        if not np.all(np.isfinite(rows)):
-            raise ValidationError("policy rows contain non-finite entries")
-        if np.any(rows < 0.0):
-            raise ValidationError(f"policy rows have negative probability (min {rows.min()})")
-        sums = rows.sum(axis=-1)
-        if np.any(np.abs(sums - 1.0) > PROB_TOL):
-            worst = float(np.abs(sums - 1.0).max())
-            raise ValidationError(f"policy row sums deviate from 1 by {worst} (> {PROB_TOL})")
-        rows = rows / sums[..., None]
+        rows = policy_rows(np.array(self.class_rows, dtype=float), self.a_max)
         rows.setflags(write=False)
         object.__setattr__(self, "class_rows", rows)
 
@@ -320,6 +302,29 @@ class Policy:
         """Expected activation degree per (behavior class, zone)."""
         deg = action_degrees(self.a_max, self.num_zones)
         return self.class_rows @ deg
+
+
+def policy_rows(rows: np.ndarray, a_max: int) -> np.ndarray:
+    """Float ``rows`` (3, Z, J) over their row sums, once every :class:`Policy` invariant holds."""
+    if rows.ndim != 3 or rows.shape[0] != NUM_CLASSES:
+        raise ValidationError(f"policy rows must have shape (3, Z, J); got {rows.shape}")
+    zones = rows.shape[1]
+    expected = (a_max + 1) * zones
+    if rows.shape[2] != expected:
+        raise ValidationError(
+            f"policy rows have {rows.shape[2]} actions; expected {expected} "
+            f"for a_max={a_max} and {zones} zones"
+        )
+    if not np.isfinite(rows).all():
+        raise ValidationError("policy rows contain non-finite entries")
+    if (rows < 0.0).any():
+        raise ValidationError(f"policy rows have negative probability (min {rows.min()})")
+    sums = rows.sum(axis=-1)
+    deviation = np.abs(sums - 1.0)
+    if (deviation > PROB_TOL).any():
+        worst = float(deviation.max())
+        raise ValidationError(f"policy row sums deviate from 1 by {worst} (> {PROB_TOL})")
+    return rows / sums[..., None]
 
 
 @dataclass(frozen=True, eq=False)

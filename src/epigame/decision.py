@@ -8,9 +8,12 @@ values, and the smoothed (logit) choice rule that drives the dynamics.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .core import (
+    CLASS_OF_STATE,
     HEALTHY_STATES,
     NUM_CLASSES,
     NUM_STATES,
@@ -23,9 +26,17 @@ from .core import (
     ValidationError,
     action_degrees,
     flatten_state_table,
+    policy_rows,
     unflatten_state_table,
 )
-from .epidemic import TransitionKernel, assemble_kernel, idle_law, survival
+from .epidemic import (
+    TransitionKernel,
+    assemble_kernel,
+    check_kernel,
+    idle_law,
+    survival,
+    survival_table,
+)
 from .rewards import RewardConfig
 
 # Q values closer than this are treated as tied when picking best responses.
@@ -49,35 +60,44 @@ def value_function(
     """Discounted value of following the shared policy forever; shape (5, Z).
 
     Solves ``(I - alpha * P) V = R`` directly; the system is small and
-    strictly diagonally dominant for ``alpha < 1``. The residual gate is
-    relative to ``|r|_inf / (1 - alpha)``, the bound on ``|V|_inf``.
+    strictly diagonally dominant for ``alpha < 1``.
     """
-    n = p.num_flat_states
-    r = flatten_state_table(np.asarray(expected_rewards, dtype=float))
-    if r.shape != (n,):
+    rewards = np.asarray(expected_rewards, dtype=float)
+    if rewards.shape != (NUM_STATES, p.num_zones):
         raise ValidationError(f"expected rewards must have shape (5, {p.num_zones})")
-    system = np.eye(n) - p.alpha * kernel.matrix
+    return solve_values(kernel.matrix, rewards, p.alpha)
+
+
+def solve_values(matrix: np.ndarray, rewards: np.ndarray, alpha: float) -> np.ndarray:
+    """Values (5, Z) of the rewards (5, Z) under the flat kernel ``matrix``.
+
+    The residual gate is relative to ``|r|_inf / (1 - alpha)``, the bound on
+    ``|V|_inf``.
+    """
+    r = flatten_state_table(rewards)
+    system = np.eye(r.size) - alpha * matrix
     v = np.linalg.solve(system, r)
     residual = float(np.abs(system @ v - r).max())
-    tol = VALUE_RESIDUAL_TOL * max(1.0, float(np.abs(r).max()) / (1.0 - p.alpha))
+    tol = VALUE_RESIDUAL_TOL * max(1.0, float(np.abs(r).max()) / (1.0 - alpha))
     if residual > tol:
         raise NumericsError(f"value equation residual {residual} exceeds {tol}")
-    return unflatten_state_table(v, p.num_zones)
+    return unflatten_state_table(v, rewards.shape[1])
 
 
 def lookahead_q(
-    stay: np.ndarray, values: np.ndarray, table: np.ndarray, p: ModelParams
+    stay: np.ndarray, values: np.ndarray, table: np.ndarray, law: np.ndarray, p: ModelParams
 ) -> np.ndarray:
     """Reward ``table`` (5, Z, J) plus discounted ``values`` of tomorrow's state.
 
     Tomorrow lies in the action's target zone (the flat action axis splits
     into target and degree). S survives with probability ``stay`` (Z,
-    a_max+1) or turns A; other states follow :func:`~epigame.epidemic.idle_law`.
+    a_max+1) or turns A; other states follow ``law``, the
+    :func:`~epigame.epidemic.idle_law`.
     """
     zones, width = p.num_zones, p.a_max + 1
     S, A = InfectionState.S, InfectionState.A
     tomorrow = np.empty((NUM_STATES, zones, zones, width))
-    tomorrow[:] = (idle_law(p) @ values)[:, None, :, None]
+    tomorrow[:] = (law @ values)[:, None, :, None]
     stay = stay[:, None, :]  # (Z, 1, a_max+1) against (Z', 1) values
     tomorrow[S] = stay * values[S][:, None] + (1.0 - stay) * values[A][:, None]
     return table + p.alpha * tomorrow.reshape(NUM_STATES, zones, p.num_actions)
@@ -97,7 +117,73 @@ def q_function(
     values = np.asarray(values, dtype=float)
     if values.shape != (NUM_STATES, p.num_zones):
         raise ValidationError(f"values must have shape (5, {p.num_zones}); got {values.shape}")
-    return lookahead_q(survival(social, p), values, cfg.table, p)
+    return lookahead_q(survival(social, p), values, cfg.table, idle_law(p), p)
+
+
+@dataclass(frozen=True, eq=False)
+class DayPlan:
+    """What stays fixed over one scenario's day updates, built and checked once.
+
+    ``table`` is a :class:`~epigame.rewards.RewardConfig`'s reward table,
+    checked against the parameters' (5, Z, J). :meth:`terms` and
+    :meth:`target` evaluate a day on plain arrays: class rows (3, Z, J) and
+    the distribution table (5, Z). They run every check the containers of
+    the public pieces run, through the same helpers, but build none of the
+    containers.
+    """
+
+    table: np.ndarray  # (5, Z, J)
+    params: ModelParams
+    healthy_q: str = "belief"
+    infected_forced_home: bool = True
+    degrees: np.ndarray = field(init=False, repr=False)  # (J,) float degree of each action
+    powers: np.ndarray = field(init=False, repr=False)  # (a_max+1,) contacts per degree
+    law: np.ndarray = field(init=False, repr=False)  # (5, 5) idle_law
+    feasible: np.ndarray = field(init=False, repr=False)  # (3, 1, J) feasible_actions
+
+    def __post_init__(self) -> None:
+        p = self.params
+        expected = (NUM_STATES, p.num_zones, p.num_actions)
+        if self.table.shape != expected:
+            raise ValidationError(
+                f"reward table shape {self.table.shape} does not match {expected}"
+            )
+        check_healthy_q(self.healthy_q)
+        fixed = {
+            "degrees": action_degrees(p.a_max, p.num_zones).astype(float),
+            "powers": np.arange(p.a_max + 1),
+            "law": idle_law(p),
+            "feasible": feasible_actions(p, self.infected_forced_home)[:, None, :],
+        }
+        for name, value in fixed.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def terms(self, class_rows: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One day's flat kernel matrix (5Z, 5Z) and Q table (5, Z, J).
+
+        The survival table is computed once and shared by the kernel, the
+        value solve and the lookahead, so the dynamics and the equilibrium
+        checker act on the same Q.
+        """
+        p = self.params
+        rows = class_rows[CLASS_OF_STATE]
+        if rows.shape != self.table.shape:
+            raise ValidationError(
+                f"reward table shape {self.table.shape} does not match {rows.shape}"
+            )
+        stay = survival_table(rows, d, self.degrees, self.powers, p)
+        matrix = assemble_kernel(rows, stay, self.law, p)
+        check_kernel(matrix, p.num_zones)
+        rewards = np.einsum("szj,szj->sz", rows, self.table)
+        values = solve_values(matrix, rewards, p.alpha)
+        return matrix, lookahead_q(stay, values, self.table, self.law, p)
+
+    def target(self, q: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Checked logit target rows (3, Z, J) of ``q`` against the distribution ``d``."""
+        p = self.params
+        cq = healthy_blend(q, d, self.healthy_q)
+        return policy_rows(logit_rows(cq, self.feasible, p.rationality), p.a_max)
 
 
 def day_terms(
@@ -105,18 +191,10 @@ def day_terms(
 ) -> tuple[TransitionKernel, np.ndarray]:
     """One day's evaluation of a social state: its kernel and its Q table.
 
-    The survival table is computed once and shared by the kernel, the value
-    solve and the lookahead, so the dynamics and the equilibrium checker act
-    on the same Q. ``table`` is a :class:`~epigame.rewards.RewardConfig`'s
-    reward table.
+    ``table`` is a :class:`~epigame.rewards.RewardConfig`'s reward table.
     """
-    rows = social.policy.state_rows()
-    if table.shape != rows.shape:
-        raise ValidationError(f"reward table shape {table.shape} does not match {rows.shape}")
-    stay = survival(social, p)
-    kernel = assemble_kernel(rows, stay, p)
-    values = value_function(kernel, np.einsum("szj,szj->sz", rows, table), p)
-    return kernel, lookahead_q(stay, values, table, p)
+    matrix, q = DayPlan(table, p).terms(social.policy.class_rows, social.dist.d)
+    return TransitionKernel(matrix, p.num_zones), q
 
 
 def feasible_actions(p: ModelParams, infected_forced_home: bool = True) -> np.ndarray:
@@ -145,6 +223,12 @@ def best_response(
     return np.flatnonzero((row >= best - TIE_TOL) & allowed)
 
 
+def check_healthy_q(mode: str) -> None:
+    """Raise ValidationError unless ``mode`` is one of :data:`HEALTHY_Q_MODES`."""
+    if mode not in HEALTHY_Q_MODES:
+        raise ValidationError(f"healthy_q must be one of {HEALTHY_Q_MODES}; got {mode!r}")
+
+
 def class_q(
     q: np.ndarray,
     dist_table: np.ndarray,
@@ -158,10 +242,12 @@ def class_q(
     zone holds almost no healthy mass); ``assume_susceptible`` always uses
     the susceptible row.
     """
-    if mode not in HEALTHY_Q_MODES:
-        raise ValidationError(f"healthy_q must be one of {HEALTHY_Q_MODES}; got {mode!r}")
-    q = np.asarray(q, dtype=float)
-    d = np.asarray(dist_table, dtype=float)
+    check_healthy_q(mode)
+    return healthy_blend(np.asarray(q, dtype=float), np.asarray(dist_table, dtype=float), mode)
+
+
+def healthy_blend(q: np.ndarray, d: np.ndarray, mode: str) -> np.ndarray:
+    """:func:`class_q` of float arrays and a checked ``mode``."""
     zones = q.shape[1]
     out = np.empty((NUM_CLASSES, zones, q.shape[2]))
     out[BehaviorClass.SYMPTOMATIC] = q[InfectionState.I]
@@ -177,6 +263,14 @@ def class_q(
     weights[0, small] = 1.0  # degenerate zones: act as if susceptible
     out[BehaviorClass.HEALTHY] = np.einsum("hz,hzj->zj", weights, q[idx])
     return out
+
+
+def logit_rows(cq: np.ndarray, feasible: np.ndarray, rationality: float) -> np.ndarray:
+    """Row-wise softmax of ``rationality * cq`` (3, Z, J) over ``feasible`` (3, 1, J) actions."""
+    scores = np.where(feasible, rationality * cq, -np.inf)
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def logit_choice(
@@ -195,12 +289,13 @@ def logit_choice(
     finite.
     """
     cq = class_q(q, dist_table, healthy_q)
-    mask = feasible_actions(p, infected_forced_home)
-    scores = np.where(mask[:, None, :], p.rationality * cq, -np.inf)
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    rows = weights / weights.sum(axis=-1, keepdims=True)
-    return Policy(rows, p.a_max)
+    mask = feasible_actions(p, infected_forced_home)[:, None, :]
+    return Policy(logit_rows(cq, mask, p.rationality), p.a_max)
+
+
+def blend(current: np.ndarray, target: np.ndarray, inertia: float) -> np.ndarray:
+    """Rows ``inertia`` of the way from ``current`` to ``target``."""
+    return (1.0 - inertia) * current + inertia * target
 
 
 def policy_update(current: Policy, target: Policy, inertia: float) -> Policy:
@@ -209,5 +304,4 @@ def policy_update(current: Policy, target: Policy, inertia: float) -> Policy:
         raise ValidationError(f"inertia must lie in (0, 1]; got {inertia}")
     if current.num_zones != target.num_zones or current.a_max != target.a_max:
         raise ValidationError("policies being blended have different dimensions")
-    rows = (1.0 - inertia) * current.class_rows + inertia * target.class_rows
-    return Policy(rows, current.a_max)
+    return Policy(blend(current.class_rows, target.class_rows, inertia), current.a_max)

@@ -18,11 +18,13 @@ from .core import (
     NUM_STATES,
     InfectionState,
     ModelParams,
+    Policy,
     SocialState,
     StateDistribution,
     ValidationError,
 )
-from .decision import day_terms, logit_choice, policy_update
+from .decision import DayPlan, blend
+from .epidemic import propagate_mass
 from .rewards import RewardConfig
 from .scenarios import ScenarioConfig
 
@@ -138,16 +140,27 @@ class SimulationResult:
     metrics: EpidemicMetrics
 
 
-def _observe(day: int, social: SocialState, cfg: RewardConfig, p: ModelParams) -> StepRecord:
+def _observe(day: int, social: SocialState, plan: DayPlan) -> StepRecord:
+    p = plan.params
     d = social.dist.d
     rows = social.policy.state_rows()  # (5, Z, J)
-    welfare = float(np.sum(d * np.einsum("szj,szj->sz", rows, cfg.table)))
+    welfare = float(np.sum(d * np.einsum("szj,szj->sz", rows, plan.table)))
     by_target = rows.reshape(NUM_STATES, p.num_zones, p.num_zones, p.a_max + 1)
     flow = np.einsum("sz,sztd->zt", d, by_target)
-    mean_act = social.policy.mean_degrees()
+    mean_act = social.policy.class_rows @ plan.degrees
     mean_act.setflags(write=False)
     flow.setflags(write=False)
     return StepRecord(day, social, mean_act, flow, welfare)
+
+
+def _advance(plan: DayPlan, social: SocialState) -> SocialState:
+    """The day update on plain arrays; only tomorrow's state objects are built."""
+    rows, d = social.policy.class_rows, social.dist.d
+    matrix, q = plan.terms(rows, d)
+    new_rows = blend(rows, plan.target(q, d), plan.params.inertia)
+    return SocialState(
+        Policy(new_rows, plan.params.a_max), StateDistribution(propagate_mass(d, matrix))
+    )
 
 
 def step(
@@ -159,13 +172,7 @@ def step(
     infected_forced_home: bool = True,
 ) -> SocialState:
     """One simultaneous day update of policy and distribution."""
-    kernel, q = day_terms(social, cfg.table, p)
-    target = logit_choice(
-        q, social.dist.d, p, healthy_q=healthy_q, infected_forced_home=infected_forced_home
-    )
-    new_policy = policy_update(social.policy, target, p.inertia)
-    new_dist = StateDistribution(kernel.propagate(social.dist))
-    return SocialState(new_policy, new_dist)
+    return _advance(DayPlan(cfg.table, p, healthy_q, infected_forced_home), social)
 
 
 def simulate(scenario: ScenarioConfig) -> SimulationResult:
@@ -176,10 +183,14 @@ def simulate(scenario: ScenarioConfig) -> SimulationResult:
     the settle threshold; post-epidemic adjustment (notably return
     migration) would otherwise be cut off.
     """
-    p = scenario.params
-    cfg = scenario.reward_config()
+    plan = DayPlan(
+        scenario.reward_config().table,
+        scenario.params,
+        scenario.healthy_q,
+        scenario.infected_forced_home,
+    )
     social = scenario.initial_social()
-    records = [_observe(0, social, cfg, p)]
+    records = [_observe(0, social, plan)]
     policy_change = math.inf
     day = 0
     while day < scenario.horizon:
@@ -189,17 +200,11 @@ def simulate(scenario: ScenarioConfig) -> SimulationResult:
         )
         if settled:
             break
-        nxt = step(
-            social,
-            cfg,
-            p,
-            healthy_q=scenario.healthy_q,
-            infected_forced_home=scenario.infected_forced_home,
-        )
+        nxt = _advance(plan, social)
         policy_change = float(np.abs(nxt.policy.class_rows - social.policy.class_rows).max())
         social = nxt
         day += 1
-        records.append(_observe(day, social, cfg, p))
+        records.append(_observe(day, social, plan))
     traj = Trajectory(tuple(records))
     return SimulationResult(
         scenario, traj, metrics(traj, subtract_initial_immune=scenario.subtract_initial_immune)

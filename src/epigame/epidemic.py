@@ -10,7 +10,7 @@ survival table), and the policy-averaged kernel of the whole population.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .core import (
     StateDistribution,
     ValidationError,
     action_degrees,
+    flatten_state_table,
     unflatten_state_table,
 )
 
@@ -37,16 +38,11 @@ class ActivityMasses:
     symptomatic: np.ndarray  # (Z,) activity of agents in I
 
     def __post_init__(self) -> None:
-        for name in ("total", "asymptomatic", "symptomatic"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValidationError(f"activity mass {name} must be one-dimensional")
-            if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-                raise ValidationError(f"activity mass {name} must be finite and nonnegative")
+        arrays = [np.array(getattr(self, f.name), dtype=float) for f in fields(self)]
+        check_activity(*arrays)
+        for f, arr in zip(fields(self), arrays):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.any(self.asymptomatic + self.symptomatic > self.total + PROB_TOL):
-            raise ValidationError("infectious activity exceeds total activity")
+            object.__setattr__(self, f.name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +54,11 @@ class EncounterProbs:
     symptomatic: np.ndarray  # (Z,) partner is symptomatically infected
 
     def __post_init__(self) -> None:
-        for name in ("no_partner", "asymptomatic", "symptomatic"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if np.any(arr < 0.0) or np.any(arr > 1.0 + PROB_TOL):
-                raise ValidationError(f"encounter probability {name} outside [0, 1]")
+        arrays = [np.array(getattr(self, f.name), dtype=float) for f in fields(self)]
+        check_encounter(*arrays)
+        for f, arr in zip(fields(self), arrays):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.any(self.no_partner + self.asymptomatic + self.symptomatic > 1.0 + PROB_TOL):
-            raise ValidationError("encounter probabilities of one attempt exceed 1")
+            object.__setattr__(self, f.name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,31 +70,75 @@ class TransitionKernel:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float)
-        n = NUM_STATES * self.num_zones
-        if m.shape != (n, n):
-            raise ValidationError(f"kernel must have shape ({n}, {n}); got {m.shape}")
-        if np.any(m < 0.0) or not np.all(np.isfinite(m)):
-            raise ValidationError("kernel entries must be finite and nonnegative")
-        worst = float(np.abs(m.sum(axis=1) - 1.0).max())
-        if worst > PROB_TOL:
-            raise NumericsError(f"kernel rows deviate from stochasticity by {worst}")
+        check_kernel(m, self.num_zones)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def propagate(self, dist: StateDistribution) -> np.ndarray:
         """One day of mass transport; returns the raw (5, Z) product."""
-        return unflatten_state_table(dist.flat() @ self.matrix, self.num_zones)
+        return propagate_mass(dist.d, self.matrix)
+
+
+def check_activity(total: np.ndarray, asymptomatic: np.ndarray, symptomatic: np.ndarray) -> None:
+    """Raise ValidationError unless the float arrays are valid :class:`ActivityMasses`."""
+    named = {"total": total, "asymptomatic": asymptomatic, "symptomatic": symptomatic}
+    for name, arr in named.items():
+        if arr.ndim != 1:
+            raise ValidationError(f"activity mass {name} must be one-dimensional")
+        if (arr < 0.0).any() or not np.isfinite(arr).all():
+            raise ValidationError(f"activity mass {name} must be finite and nonnegative")
+    if (asymptomatic + symptomatic > total + PROB_TOL).any():
+        raise ValidationError("infectious activity exceeds total activity")
+
+
+def check_encounter(
+    no_partner: np.ndarray, asymptomatic: np.ndarray, symptomatic: np.ndarray
+) -> None:
+    """Raise ValidationError unless the float arrays are valid :class:`EncounterProbs`."""
+    named = {"no_partner": no_partner, "asymptomatic": asymptomatic, "symptomatic": symptomatic}
+    for name, arr in named.items():
+        if (arr < 0.0).any() or (arr > 1.0 + PROB_TOL).any():
+            raise ValidationError(f"encounter probability {name} outside [0, 1]")
+    if (no_partner + asymptomatic + symptomatic > 1.0 + PROB_TOL).any():
+        raise ValidationError("encounter probabilities of one attempt exceed 1")
+
+
+def check_kernel(m: np.ndarray, num_zones: int) -> None:
+    """Raise unless the float matrix is a valid :class:`TransitionKernel` over ``num_zones``."""
+    n = NUM_STATES * num_zones
+    if m.shape != (n, n):
+        raise ValidationError(f"kernel must have shape ({n}, {n}); got {m.shape}")
+    if (m < 0.0).any() or not np.isfinite(m).all():
+        raise ValidationError("kernel entries must be finite and nonnegative")
+    worst = float(np.abs(m.sum(axis=1) - 1.0).max())
+    if worst > PROB_TOL:
+        raise NumericsError(f"kernel rows deviate from stochasticity by {worst}")
+
+
+def propagate_mass(d: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """One day of mass transport of a (5, Z) table through a flat kernel matrix."""
+    return unflatten_state_table(flatten_state_table(d) @ matrix, d.shape[1])
+
+
+def activity_arrays(rows: np.ndarray, d: np.ndarray, degrees: np.ndarray) -> tuple:
+    """Total, asymptomatic and symptomatic activity (Z,) of state rows (5, Z, J) on ``d``."""
+    mean_deg = rows @ degrees  # (5, Z)
+    total = np.einsum("sz,sz->z", d, mean_deg)
+    asym = d[InfectionState.A] * mean_deg[InfectionState.A]
+    sym = d[InfectionState.I] * mean_deg[InfectionState.I]
+    return total, asym, sym
+
+
+def encounter_arrays(total, asymptomatic, symptomatic, epsilon: float) -> tuple:
+    """No-partner, asymptomatic and symptomatic encounter probabilities (Z,)."""
+    pool = total + epsilon
+    return epsilon / pool, asymptomatic / pool, symptomatic / pool
 
 
 def activity_masses(social: SocialState, p: ModelParams) -> ActivityMasses:
     """Expected activation mass per zone under the current policy."""
     deg = action_degrees(p.a_max, p.num_zones)
-    mean_deg = social.policy.state_rows() @ deg  # (5, Z)
-    d = social.dist.d
-    total = np.einsum("sz,sz->z", d, mean_deg)
-    asym = d[InfectionState.A] * mean_deg[InfectionState.A]
-    sym = d[InfectionState.I] * mean_deg[InfectionState.I]
-    return ActivityMasses(total, asym, sym)
+    return ActivityMasses(*activity_arrays(social.policy.state_rows(), social.dist.d, deg))
 
 
 def encounter_probs(masses: ActivityMasses, p: ModelParams) -> EncounterProbs:
@@ -111,11 +148,8 @@ def encounter_probs(masses: ActivityMasses, p: ModelParams) -> EncounterProbs:
     pairing distribution stays well defined when nobody is active: in that
     limit every attempt matches nobody.
     """
-    pool = masses.total + p.epsilon
     return EncounterProbs(
-        no_partner=p.epsilon / pool,
-        asymptomatic=masses.asymptomatic / pool,
-        symptomatic=masses.symptomatic / pool,
+        *encounter_arrays(masses.total, masses.asymptomatic, masses.symptomatic, p.epsilon)
     )
 
 
@@ -153,12 +187,28 @@ def infection_transition(
     return out
 
 
+def survival_table(
+    rows: np.ndarray, d: np.ndarray, degrees: np.ndarray, powers: np.ndarray, p: ModelParams
+) -> np.ndarray:
+    """Chance (Z, a_max+1) that a susceptible agent stays S through ``powers`` contacts.
+
+    ``rows`` (5, Z, J) act on the distribution table ``d`` (5, Z);
+    ``degrees`` is the activation degree of each flat action. The activity
+    masses and encounter probabilities are checked on the way.
+    """
+    masses = activity_arrays(rows, d, degrees)
+    check_activity(*masses)
+    probs = encounter_arrays(*masses, p.epsilon)
+    check_encounter(*probs)
+    pressure = p.beta_A * probs[1] + p.beta_I * probs[2]  # (Z,)
+    base = np.clip(1.0 - pressure, 0.0, 1.0)
+    return base[:, None] ** powers[None, :]
+
+
 def survival(social: SocialState, p: ModelParams) -> np.ndarray:
     """Chance (Z, a_max+1) that a susceptible agent stays S through ``degree`` contacts."""
-    probs = encounter_probs(activity_masses(social, p), p)
-    pressure = p.beta_A * probs.asymptomatic + p.beta_I * probs.symptomatic  # (Z,)
-    base = np.clip(1.0 - pressure, 0.0, 1.0)
-    return base[:, None] ** np.arange(p.a_max + 1)[None, :]
+    deg = action_degrees(p.a_max, p.num_zones)
+    return survival_table(social.policy.state_rows(), social.dist.d, deg, np.arange(p.a_max + 1), p)
 
 
 def state_transition(
@@ -182,25 +232,28 @@ def state_transition(
     return out
 
 
-def assemble_kernel(rows: np.ndarray, stay: np.ndarray, p: ModelParams) -> TransitionKernel:
-    """Kernel of state rows (5, Z, J) under the survival table ``stay`` (Z, a_max+1).
+def assemble_kernel(
+    rows: np.ndarray, stay: np.ndarray, law: np.ndarray, p: ModelParams
+) -> np.ndarray:
+    """Flat kernel matrix (5Z, 5Z) of state rows (5, Z, J) under the survival table ``stay``.
 
     The flat action axis splits into (target zone, degree). States other
-    than S progress by :func:`idle_law` wherever the class moves; the
-    susceptible mass an action sends to its target splits on ``stay``.
+    than S progress by ``law``, the :func:`idle_law`, wherever the class
+    moves; the susceptible mass an action sends to its target splits on
+    ``stay`` (Z, a_max+1).
     """
     zones, width = p.num_zones, p.a_max + 1
     S, A = InfectionState.S, InfectionState.A
     by_target = rows.reshape(NUM_STATES, zones, zones, width)
     moves = by_target.sum(axis=3)  # (5, Z, Z') migration marginal
-    joint = idle_law(p)[:, None, :, None] * moves[:, :, None, :]  # (5, Z, 5, Z')
+    joint = law[:, None, :, None] * moves[:, :, None, :]  # (5, Z, 5, Z')
     kept = by_target[S] * stay[:, None, :]  # (Z, Z', a_max+1)
     joint[S, :, S] = kept.sum(axis=2)
     joint[S, :, A] = (by_target[S] - kept).sum(axis=2)
-    flat = joint.transpose(1, 0, 3, 2).reshape(p.num_flat_states, p.num_flat_states)
-    return TransitionKernel(flat, zones)
+    return joint.transpose(1, 0, 3, 2).reshape(p.num_flat_states, p.num_flat_states)
 
 
 def transition_matrix(social: SocialState, p: ModelParams) -> TransitionKernel:
     """Policy-averaged one-day kernel of the population."""
-    return assemble_kernel(social.policy.state_rows(), survival(social, p), p)
+    matrix = assemble_kernel(social.policy.state_rows(), survival(social, p), idle_law(p), p)
+    return TransitionKernel(matrix, p.num_zones)

@@ -31,7 +31,8 @@ from .core import (
     flatten_action,
     is_real,
 )
-from .decision import TIE_TOL, day_terms, feasible_actions
+from .decision import TIE_TOL, DayPlan, feasible_actions
+from .epidemic import propagate_mass
 from .rewards import RewardConfig
 
 # Representative infection state of each behavior class (cost tables of the
@@ -210,23 +211,24 @@ def check_equilibrium(
     zero-mass states never bind; their worst gap is reported separately.
     The second condition is stationarity of the distribution under one
     application of the kernel. Kernel and Q come from the same
-    :func:`~epigame.decision.day_terms` evaluation the dynamics step on.
+    :meth:`~epigame.decision.DayPlan.terms` evaluation the dynamics step on.
     """
     if not (is_real(tol) and tol > 0.0):
         raise ValidationError(f"tol must be a finite positive number; got {tol!r}")
-    kernel, q = day_terms(social, cfg.table, p)
+    plan = DayPlan(cfg.table, p, infected_forced_home=infected_forced_home)
+    d = social.dist.d
+    matrix, q = plan.terms(social.policy.class_rows, d)
 
     rows = social.policy.state_rows()  # (5, Z, J)
     averaged = np.einsum("szj,szj->sz", rows, q)
-    feasible = feasible_actions(p, infected_forced_home)[CLASS_OF_STATE]  # (5, J)
-    allowed = feasible[:, None, :] | (rows > 0.0)
+    allowed = plan.feasible[CLASS_OF_STATE] | (rows > 0.0)  # (5, 1, J) | (5, Z, J)
     best = np.where(allowed, q, -np.inf).max(axis=2)
     gaps = best - averaged
 
-    occupied = social.dist.d > 0.0
+    occupied = d > 0.0
     se1 = float(gaps[occupied].max()) if occupied.any() else 0.0
     se1_un = float(gaps[~occupied].max()) if (~occupied).any() else 0.0
-    se2 = float(np.abs(kernel.propagate(social.dist) - social.dist.d).max())
+    se2 = float(np.abs(propagate_mass(d, matrix) - d).max())
     gaps.setflags(write=False)
     occupied.setflags(write=False)
     return EquilibriumReport(

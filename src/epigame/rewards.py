@@ -16,6 +16,7 @@ from .core import (
     ValidationError,
     action_degrees,
     action_targets,
+    is_real,
 )
 
 
@@ -75,10 +76,10 @@ class RewardConfig:
         c.setflags(write=False)
         object.__setattr__(self, "activation_cost", c)
 
-        if self.migration_cost < 0.0:
-            raise ValidationError(f"migration_cost must be >= 0; got {self.migration_cost}")
-        if self.illness_cost < 0.0:
-            raise ValidationError(f"illness_cost must be >= 0; got {self.illness_cost}")
+        for name in ("migration_cost", "illness_cost"):
+            value = getattr(self, name)
+            if not (is_real(value) and value >= 0.0):
+                raise ValidationError(f"{name} must be a finite real number >= 0; got {value!r}")
 
         zones = self.num_zones
         deg = action_degrees(self.a_max, zones)

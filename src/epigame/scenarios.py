@@ -30,7 +30,7 @@ from .core import (
     numeric_table,
     uniform_no_move_policy,
 )
-from .decision import HEALTHY_Q_MODES, feasible_actions
+from .decision import check_healthy_q, feasible_actions
 from .rewards import RewardConfig, linear_benefit, lockdown_cost
 
 DEFAULT_HORIZON = 300
@@ -84,10 +84,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
                 raise ValidationError(f"{name} must be true or false; got {value!r}")
-        if self.healthy_q not in HEALTHY_Q_MODES:
-            raise ValidationError(
-                f"healthy_q must be one of {HEALTHY_Q_MODES}; got {self.healthy_q!r}"
-            )
+        check_healthy_q(self.healthy_q)
         o = self.benefit if self.benefit is not None else linear_benefit(self.params.a_max)
         rewards = RewardConfig(
             benefit=o,

@@ -9,6 +9,7 @@ import pytest
 
 from epigame import (
     InfectionState,
+    NumericsError,
     RewardConfig,
     SocialState,
     StateDistribution,
@@ -38,6 +39,7 @@ from epigame.core import (
     flatten_action,
     unflatten_action,
 )
+from epigame import decision, epidemic
 from epigame.rewards import immediate_reward
 from epigame.dynamics import WAVE_PROMINENCE, StepRecord
 from conftest import make_params, random_social
@@ -100,6 +102,69 @@ def test_step_is_a_fixed_point_at_a_constructed_equilibrium():
     nxt = step(social, cfg, p)
     assert np.max(np.abs(nxt.dist.d - social.dist.d)) < 1e-12
     assert np.max(np.abs(nxt.policy.class_rows - social.policy.class_rows)) < 1e-8
+
+
+def seeded_three_zone_scenario(seed, healthy_q, infected_forced_home):
+    rng = np.random.default_rng(seed)
+    init = rng.random((NUM_STATES, 3)) + 0.01
+    healthy = rng.integers(0, 4, 3)
+    lockdown = np.array([healthy, rng.integers(0, healthy + 1), rng.integers(healthy, 4)])
+    return frozen_scenario(
+        params=make_params(num_zones=3, a_max=3, rationality=float(rng.uniform(1.0, 30.0))),
+        lockdown_degrees=lockdown,
+        initial_dist=init / init.sum(),
+        horizon=15,
+        healthy_q=healthy_q,
+        infected_forced_home=infected_forced_home,
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        replace(preset("fig4_migration"), horizon=40),
+        seeded_three_zone_scenario(50, "belief", True),
+        seeded_three_zone_scenario(51, "belief", False),
+        seeded_three_zone_scenario(52, "assume_susceptible", True),
+        seeded_three_zone_scenario(53, "assume_susceptible", False),
+    ],
+    ids=["fig4", "belief-home", "belief-free", "susceptible-home", "susceptible-free"],
+)
+def test_simulate_is_chained_step(scenario):
+    cfg, p = scenario.reward_config(), scenario.params
+    records = simulate(scenario).trajectory.records
+    assert len(records) == scenario.horizon + 1
+    for before, after in zip(records, records[1:]):
+        nxt = step(
+            before.social,
+            cfg,
+            p,
+            healthy_q=scenario.healthy_q,
+            infected_forced_home=scenario.infected_forced_home,
+        )
+        assert np.array_equal(nxt.policy.class_rows, after.social.policy.class_rows)
+        assert np.array_equal(nxt.dist.d, after.social.dist.d)
+
+
+def test_simulate_fires_the_value_residual_gate(monkeypatch):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    with pytest.raises(NumericsError, match="residual"):
+        simulate(preset("fig4_migration"))
+
+
+def test_simulate_fires_the_kernel_stochasticity_gate(monkeypatch):
+    idle_law = epidemic.idle_law
+
+    def leaky_law(p):
+        law = idle_law(p)
+        law[InfectionState.R, InfectionState.R] = 0.9  # recovered mass leaks away
+        return law
+
+    monkeypatch.setattr(epidemic, "idle_law", leaky_law)
+    monkeypatch.setattr(decision, "idle_law", leaky_law)
+    with pytest.raises(NumericsError, match="stochasticity"):
+        simulate(preset("fig4_migration"))
 
 
 # --- full runs ------------------------------------------------------------------

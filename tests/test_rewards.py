@@ -150,6 +150,14 @@ def test_reward_config_rejects_bad_costs():
         RewardConfig(o, np.zeros((NUM_STATES, 1, 3)), 0.0, -1.0)
 
 
+@pytest.mark.parametrize("name", ["migration_cost", "illness_cost"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0", True])
+def test_reward_config_rejects_non_real_scalar_costs(name, value):
+    costs = {"migration_cost": 0.0, "illness_cost": 0.0, name: value}
+    with pytest.raises(ValidationError, match=name):
+        RewardConfig(linear_benefit(2), np.zeros((NUM_STATES, 1, 3)), **costs)
+
+
 def test_reward_config_random_instances_accepted():
     rng = np.random.default_rng(12)
     for _ in range(20):
