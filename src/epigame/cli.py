@@ -104,20 +104,26 @@ def timeseries_header(num_zones: int) -> list[str]:
 
 
 def render_timeseries(result: SimulationResult) -> str:
-    zones = result.trajectory.num_zones
+    """The ``timeseries.csv`` text: one row per day, columns as :func:`timeseries_header`.
+
+    The trajectory's columns are laid out as one (T, C) table and formatted
+    a row at a time; ``repr`` of a list of floats is :func:`_fmt` of each.
+    """
+    traj = result.trajectory
+    days, zones = len(traj), traj.num_zones
+    off_diagonal = ~np.eye(zones, dtype=bool).ravel()
+    table = np.concatenate(
+        [
+            traj.dist.transpose(0, 2, 1).reshape(days, -1),
+            traj.activation.transpose(0, 2, 1).reshape(days, -1),
+            traj.flows.reshape(days, -1)[:, off_diagonal],
+            traj.daily_welfare[:, None],
+        ],
+        axis=1,
+    )
     lines = [",".join(timeseries_header(zones))]
-    for rec in result.trajectory.records:
-        row = [str(rec.day)]
-        for z in range(zones):
-            row += [_fmt(rec.social.dist.d[s, z]) for s in InfectionState]
-        for z in range(zones):
-            row += [_fmt(rec.mean_activation[cls, z]) for cls in BehaviorClass]
-        for src in range(zones):
-            for dst in range(zones):
-                if src != dst:
-                    row.append(_fmt(rec.migration_flow[src, dst]))
-        row.append(_fmt(rec.welfare))
-        lines.append(",".join(row))
+    for day, row in enumerate(table):
+        lines.append(f"{day},{repr(row.tolist())[1:-1].replace(', ', ',')}")
     return "\n".join(lines) + "\n"
 
 
@@ -125,6 +131,7 @@ def summary_payload(result: SimulationResult, wall_clock: float) -> dict:
     return {
         "scenario": result.scenario.to_dict(),
         "days": len(result.trajectory) - 1,
+        "stop_reason": result.stop_reason,
         "metrics": result.metrics.to_dict(),
         "meta": {
             "tool": "epigame",

@@ -125,11 +125,11 @@ class DayPlan:
     """What stays fixed over one scenario's day updates, built and checked once.
 
     ``table`` is a :class:`~epigame.rewards.RewardConfig`'s reward table,
-    checked against the parameters' (5, Z, J). :meth:`terms` and
-    :meth:`target` evaluate a day on plain arrays: class rows (3, Z, J) and
-    the distribution table (5, Z). They run every check the containers of
-    the public pieces run, through the same helpers, but build none of the
-    containers.
+    checked against the parameters' (5, Z, J). :meth:`state_rewards`,
+    :meth:`terms` and :meth:`target` evaluate a day on plain arrays: class
+    rows (3, Z, J) and the distribution table (5, Z). They run every check
+    the containers of the public pieces run, through the same helpers, but
+    build none of the containers.
     """
 
     table: np.ndarray  # (5, Z, J)
@@ -159,23 +159,33 @@ class DayPlan:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    def terms(self, class_rows: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One day's flat kernel matrix (5Z, 5Z) and Q table (5, Z, J).
+    def state_rewards(self, class_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """State rows (5, Z, J) of ``class_rows`` and their expected rewards (5, Z).
 
-        The survival table is computed once and shared by the kernel, the
-        value solve and the lookahead, so the dynamics and the equilibrium
-        checker act on the same Q.
+        A simulated day computes them once and shares them between its
+        observation and :meth:`terms`.
         """
-        p = self.params
         rows = class_rows[CLASS_OF_STATE]
         if rows.shape != self.table.shape:
             raise ValidationError(
                 f"reward table shape {self.table.shape} does not match {rows.shape}"
             )
+        return rows, np.einsum("szj,szj->sz", rows, self.table)
+
+    def terms(
+        self, rows: np.ndarray, rewards: np.ndarray, d: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One day's flat kernel matrix (5Z, 5Z) and Q table (5, Z, J).
+
+        ``rows`` and ``rewards`` come from :meth:`state_rewards`. The survival
+        table is computed once and shared by the kernel, the value solve and
+        the lookahead, so the dynamics and the equilibrium checker act on the
+        same Q.
+        """
+        p = self.params
         stay = survival_table(rows, d, self.degrees, self.powers, p)
         matrix = assemble_kernel(rows, stay, self.law, p)
         check_kernel(matrix, p.num_zones)
-        rewards = np.einsum("szj,szj->sz", rows, self.table)
         values = solve_values(matrix, rewards, p.alpha)
         return matrix, lookahead_q(stay, values, self.table, self.law, p)
 
@@ -193,7 +203,8 @@ def day_terms(
 
     ``table`` is a :class:`~epigame.rewards.RewardConfig`'s reward table.
     """
-    matrix, q = DayPlan(table, p).terms(social.policy.class_rows, social.dist.d)
+    plan = DayPlan(table, p)
+    matrix, q = plan.terms(*plan.state_rewards(social.policy.class_rows), social.dist.d)
     return TransitionKernel(matrix, p.num_zones), q
 
 

@@ -10,7 +10,10 @@ order.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -42,59 +45,112 @@ class StepRecord:
     welfare: float  # population-average expected reward this day
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Trajectory:
-    """Ordered per-day records of a simulation run."""
+    """Per-day columns of a simulation run and the source of its records.
 
-    records: tuple[StepRecord, ...]
+    ``Trajectory(records)`` stacks the columns of hand-made records;
+    :func:`simulate` fills them day by day and keeps no per-day social
+    state. The columns are read-only, and the accessors below return them
+    or views of them, so copy before changing one in place.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.records:
+    dist: np.ndarray  # (T, 5, Z)
+    activation: np.ndarray  # (T, 3, Z) expected degree per behavior class
+    flows: np.ndarray  # (T, Z, Z) mass moving from row zone to column zone
+    daily_welfare: np.ndarray  # (T,) population-average expected reward
+    source: ScenarioConfig | tuple[StepRecord, ...]  # the run replayed for records, or the records
+
+    def __init__(self, records: tuple[StepRecord, ...]) -> None:
+        records = tuple(records)
+        if not records:
             raise ValidationError("a trajectory needs at least one record")
-        days = [rec.day for rec in self.records]
+        days = [rec.day for rec in records]
         if days != list(range(len(days))):
             raise ValidationError("trajectory days must be contiguous from 0")
+        observed = [
+            (rec.social.dist.d, rec.mean_activation, rec.migration_flow, rec.welfare)
+            for rec in records
+        ]
+        self._fill(observed, records)
+
+    @classmethod
+    def _of_run(cls, observed: list[tuple], scenario: ScenarioConfig) -> Trajectory:
+        """The trajectory of a run's per-day :func:`_observe` tuples."""
+        traj = cls.__new__(cls)
+        traj._fill(observed, scenario)
+        return traj
+
+    def _fill(
+        self, observed: list[tuple], source: ScenarioConfig | tuple[StepRecord, ...]
+    ) -> None:
+        dist, activation, flows, welfare = zip(*observed)
+        columns = {
+            "dist": np.stack(dist),
+            "activation": np.stack(activation),
+            "flows": np.stack(flows),
+            "daily_welfare": np.array(welfare),
+        }
+        for name, column in columns.items():
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "source", source)
+
+    @cached_property
+    def records(self) -> tuple[StepRecord, ...]:
+        """One record per day, built once on first read.
+
+        A simulated trajectory rebuilds its social states by replaying the
+        run from its scenario, which is deterministic, so they equal the
+        states the run went through bit for bit.
+        """
+        if not isinstance(self.source, ScenarioConfig):
+            return self.source
+        states = [social for _, social, _, _ in islice(_days(self.source), len(self))]
+        return tuple(
+            StepRecord(day, social, self.activation[day], self.flows[day],
+                       float(self.daily_welfare[day]))
+            for day, social in enumerate(states)
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.dist)
 
     @property
     def num_zones(self) -> int:
-        return self.records[0].social.dist.num_zones
+        return self.dist.shape[2]
 
     def days(self) -> np.ndarray:
-        return np.arange(len(self.records))
+        return np.arange(len(self))
 
     def dist_array(self) -> np.ndarray:
-        """Stacked distributions, shape (T, 5, Z)."""
-        return np.stack([rec.social.dist.d for rec in self.records])
+        """Distributions per day, shape (T, 5, Z)."""
+        return self.dist
 
     def infected(self, zone: int | None = None) -> np.ndarray:
         """Symptomatic mass per day, for one zone or summed over all."""
-        series = self.dist_array()[:, InfectionState.I, :]
+        series = self.dist[:, InfectionState.I, :]
         return series[:, zone] if zone is not None else series.sum(axis=1)
 
     def active(self) -> np.ndarray:
         """Infected mass (A plus I) per day."""
-        d = self.dist_array()
+        d = self.dist
         return (d[:, InfectionState.A, :] + d[:, InfectionState.I, :]).sum(axis=1)
 
     def immune(self) -> np.ndarray:
         """Recovered mass (R plus U) per day."""
-        d = self.dist_array()
+        d = self.dist
         return (d[:, InfectionState.R, :] + d[:, InfectionState.U, :]).sum(axis=1)
 
     def welfare(self) -> np.ndarray:
-        return np.array([rec.welfare for rec in self.records])
+        return self.daily_welfare
 
     def mean_activation(self, cls: int, zone: int) -> np.ndarray:
-        return np.array([rec.mean_activation[cls, zone] for rec in self.records])
+        return self.activation[:, cls, zone]
 
     def net_flow(self, src: int, dst: int) -> np.ndarray:
         """Net daily migration mass from ``src`` to ``dst``."""
-        return np.array(
-            [rec.migration_flow[src, dst] - rec.migration_flow[dst, src] for rec in self.records]
-        )
+        return self.flows[:, src, dst] - self.flows[:, dst, src]
 
     def final(self) -> StepRecord:
         return self.records[-1]
@@ -138,26 +194,34 @@ class SimulationResult:
     scenario: ScenarioConfig
     trajectory: Trajectory
     metrics: EpidemicMetrics
+    stop_reason: str  # "settled" (epidemic over, policy settled) or "horizon"
 
 
-def _observe(day: int, social: SocialState, plan: DayPlan) -> StepRecord:
+def _observe(
+    plan: DayPlan, social: SocialState, rows: np.ndarray, rewards: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Distribution (5, Z), mean activation (3, Z), flows (Z, Z) and welfare of one day.
+
+    ``rows`` and ``rewards`` are the day's :meth:`DayPlan.state_rewards`.
+    """
     p = plan.params
     d = social.dist.d
-    rows = social.policy.state_rows()  # (5, Z, J)
-    welfare = float(np.sum(d * np.einsum("szj,szj->sz", rows, plan.table)))
+    welfare = float(np.sum(d * rewards))
     by_target = rows.reshape(NUM_STATES, p.num_zones, p.num_zones, p.a_max + 1)
     flow = np.einsum("sz,sztd->zt", d, by_target)
-    mean_act = social.policy.class_rows @ plan.degrees
-    mean_act.setflags(write=False)
-    flow.setflags(write=False)
-    return StepRecord(day, social, mean_act, flow, welfare)
+    return d, social.policy.class_rows @ plan.degrees, flow, welfare
 
 
-def _advance(plan: DayPlan, social: SocialState) -> SocialState:
-    """The day update on plain arrays; only tomorrow's state objects are built."""
-    rows, d = social.policy.class_rows, social.dist.d
-    matrix, q = plan.terms(rows, d)
-    new_rows = blend(rows, plan.target(q, d), plan.params.inertia)
+def _advance(
+    plan: DayPlan, social: SocialState, rows: np.ndarray, rewards: np.ndarray
+) -> SocialState:
+    """The day update on plain arrays; only tomorrow's state objects are built.
+
+    ``rows`` and ``rewards`` are today's :meth:`DayPlan.state_rewards`.
+    """
+    d = social.dist.d
+    matrix, q = plan.terms(rows, rewards, d)
+    new_rows = blend(social.policy.class_rows, plan.target(q, d), plan.params.inertia)
     return SocialState(
         Policy(new_rows, plan.params.a_max), StateDistribution(propagate_mass(d, matrix))
     )
@@ -172,7 +236,29 @@ def step(
     infected_forced_home: bool = True,
 ) -> SocialState:
     """One simultaneous day update of policy and distribution."""
-    return _advance(DayPlan(cfg.table, p, healthy_q, infected_forced_home), social)
+    plan = DayPlan(cfg.table, p, healthy_q, infected_forced_home)
+    return _advance(plan, social, *plan.state_rewards(social.policy.class_rows))
+
+
+def _days(
+    scenario: ScenarioConfig,
+) -> Iterator[tuple[DayPlan, SocialState, np.ndarray, np.ndarray]]:
+    """The run's days, unbounded: plan, social state, state rows and expected rewards.
+
+    The next day is built only when the caller asks for it, from the rows
+    and rewards already handed out.
+    """
+    plan = DayPlan(
+        scenario.reward_config().table,
+        scenario.params,
+        scenario.healthy_q,
+        scenario.infected_forced_home,
+    )
+    social = scenario.initial_social()
+    while True:
+        rows, rewards = plan.state_rewards(social.policy.class_rows)
+        yield plan, social, rows, rewards
+        social = _advance(plan, social, rows, rewards)
 
 
 def simulate(scenario: ScenarioConfig) -> SimulationResult:
@@ -182,32 +268,35 @@ def simulate(scenario: ScenarioConfig) -> SimulationResult:
     threshold and the previous policy update moved no entry by more than
     the settle threshold; post-epidemic adjustment (notably return
     migration) would otherwise be cut off.
+
+    The trajectory keeps the per-day columns only; each day's social state
+    is dropped once the next one is built, and ``records`` replays the run.
     """
-    plan = DayPlan(
-        scenario.reward_config().table,
-        scenario.params,
-        scenario.healthy_q,
-        scenario.infected_forced_home,
-    )
-    social = scenario.initial_social()
-    records = [_observe(0, social, plan)]
-    policy_change = math.inf
-    day = 0
-    while day < scenario.horizon:
-        settled = (
+    observed = []
+    previous = None
+    for day, (plan, social, rows, rewards) in enumerate(_days(scenario)):
+        observed.append(_observe(plan, social, rows, rewards))
+        if day >= scenario.horizon:
+            stop_reason = "horizon"
+            break
+        policy_change = (
+            math.inf
+            if previous is None
+            else float(np.abs(social.policy.class_rows - previous.policy.class_rows).max())
+        )
+        if (
             social.dist.active_mass() < scenario.extinction_threshold
             and policy_change < scenario.policy_settle_threshold
-        )
-        if settled:
+        ):
+            stop_reason = "settled"
             break
-        nxt = _advance(plan, social)
-        policy_change = float(np.abs(nxt.policy.class_rows - social.policy.class_rows).max())
-        social = nxt
-        day += 1
-        records.append(_observe(day, social, plan))
-    traj = Trajectory(tuple(records))
+        previous = social
+    traj = Trajectory._of_run(observed, scenario)
     return SimulationResult(
-        scenario, traj, metrics(traj, subtract_initial_immune=scenario.subtract_initial_immune)
+        scenario,
+        traj,
+        metrics(traj, subtract_initial_immune=scenario.subtract_initial_immune),
+        stop_reason,
     )
 
 

@@ -121,25 +121,31 @@ class ScenarioConfig:
         return SocialState(policy, self._initial_dist)
 
     def to_dict(self) -> dict:
+        """The scenario as JSON-ready data; numpy scalars become Python scalars."""
         return {
             "name": self.name,
-            "params": {f.name: getattr(self.params, f.name) for f in fields(ModelParams)},
+            "params": {f.name: _plain(getattr(self.params, f.name)) for f in fields(ModelParams)},
             "lockdown_degrees": {
                 cls.name.lower(): [int(x) for x in self.lockdown_degrees[cls]]
                 for cls in BehaviorClass
             },
-            "lockdown_multiplier": self.lockdown_multiplier,
+            "lockdown_multiplier": _plain(self.lockdown_multiplier),
             "benefit": "linear" if self.benefit is None else [float(x) for x in self.benefit],
             "initial_dist": {
                 s.name: [float(x) for x in self.initial_dist[s]] for s in InfectionState
             },
-            "horizon": self.horizon,
-            "extinction_threshold": self.extinction_threshold,
-            "policy_settle_threshold": self.policy_settle_threshold,
-            "infected_forced_home": self.infected_forced_home,
-            "healthy_q": self.healthy_q,
-            "subtract_initial_immune": self.subtract_initial_immune,
+            "horizon": _plain(self.horizon),
+            "extinction_threshold": _plain(self.extinction_threshold),
+            "policy_settle_threshold": _plain(self.policy_settle_threshold),
+            "infected_forced_home": _plain(self.infected_forced_home),
+            "healthy_q": _plain(self.healthy_q),
+            "subtract_initial_immune": _plain(self.subtract_initial_immune),
         }
+
+
+def _plain(value):
+    """``value`` as a Python scalar if it is a numpy scalar, else unchanged."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 #: Optional one-value scenario fields: documents may set them, sweeps override them.

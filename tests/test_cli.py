@@ -8,6 +8,7 @@ import pytest
 
 from epigame import preset, scenario_from_dict, simulate
 from epigame.cli import main, render_timeseries, summary_payload, timeseries_header
+from test_dynamics import seeded_three_zone_scenario
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -67,6 +68,54 @@ def test_simulate_timeseries_layout(tmp_path):
     day0 = lines[1].split(",")
     assert day0[0] == "0"
     assert float(day0[1]) == pytest.approx(0.873, abs=1e-12)
+
+
+def per_cell_timeseries(result):
+    """The timeseries text formatted cell by cell from the per-day records."""
+
+    def fmt(x):
+        return repr(float(x))
+
+    zones = result.trajectory.num_zones
+    lines = [",".join(timeseries_header(zones))]
+    for rec in result.trajectory.records:
+        row = [str(rec.day)]
+        for z in range(zones):
+            row += [fmt(rec.social.dist.d[s, z]) for s in range(5)]
+        for z in range(zones):
+            row += [fmt(rec.mean_activation[cls, z]) for cls in range(3)]
+        for src in range(zones):
+            for dst in range(zones):
+                if src != dst:
+                    row.append(fmt(rec.migration_flow[src, dst]))
+        row.append(fmt(rec.welfare))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def three_zone_scenario():
+    return replace(seeded_three_zone_scenario(54, "belief", True), horizon=40)
+
+
+def csv_lines(text):
+    """Lines with their endings: equal exactly when the texts are, and fast to diff."""
+    return text.splitlines(keepends=True)
+
+
+def test_render_timeseries_matches_a_per_cell_oracle():
+    for cfg in (preset("fig4_migration"), three_zone_scenario()):
+        result = simulate(cfg)
+        assert csv_lines(render_timeseries(result)) == csv_lines(per_cell_timeseries(result))
+
+
+def test_summary_reports_why_the_run_stopped(tmp_path):
+    settled, capped = tmp_path / "settled", tmp_path / "capped"
+    assert main(["simulate", "--preset", "fig2a", "--out", str(settled)]) == 0
+    assert main(["simulate", "--preset", "fig2a", "--horizon", "10", "--out", str(capped)]) == 0
+    assert read_summary(settled)["stop_reason"] == "settled"
+    assert read_summary(settled)["days"] < preset("fig2a").horizon
+    assert read_summary(capped)["stop_reason"] == "horizon"
+    assert read_summary(capped)["days"] == 10
 
 
 def test_simulate_without_infection_reports_zero_totals(tmp_path):

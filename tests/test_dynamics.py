@@ -303,6 +303,56 @@ def test_trajectory_observables_on_a_two_zone_run():
     assert series[0] == pytest.approx(3.0)
 
 
+def held_array_shapes(obj, seen=None):
+    """Shapes of every array reachable through object attributes, tuples and lists."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj.shape]
+    if isinstance(obj, (tuple, list)):
+        children = obj
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [shape for child in children for shape in held_array_shapes(child, seen)]
+
+
+def test_a_run_keeps_columns_only_until_its_records_are_read():
+    scenario = seeded_three_zone_scenario(55, "belief", True)
+    p = scenario.params
+    policy_shape = (NUM_CLASSES, p.num_zones, p.num_actions)
+    result = simulate(scenario)
+    assert policy_shape not in held_array_shapes(result)
+    traj = result.trajectory
+    assert len(traj.records) == len(traj) == scenario.horizon + 1
+    assert traj.final() is traj.records[-1]
+    assert policy_shape in held_array_shapes(result)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        *(replace(preset(name), horizon=40)
+          for name in ("fig2a", "fig2b", "fig2c", "fig4_migration")),
+        seeded_three_zone_scenario(54, "belief", True),
+    ],
+    ids=["fig2a", "fig2b", "fig2c", "fig4", "three-zone"],
+)
+def test_replayed_records_match_the_run_columns(scenario):
+    traj = simulate(scenario).trajectory
+    plan = decision.DayPlan(scenario.reward_config().table, scenario.params,
+                   scenario.healthy_q, scenario.infected_forced_home)
+    for day, rec in enumerate(traj.records):
+        assert rec.day == day
+        assert np.array_equal(rec.social.dist.d, traj.dist[day])
+        assert np.array_equal(rec.social.policy.class_rows @ plan.degrees, traj.activation[day])
+        rows, rewards = plan.state_rewards(rec.social.policy.class_rows)
+        assert float(np.sum(rec.social.dist.d * rewards)) == traj.daily_welfare[day]
+
+
 # --- metrics ------------------------------------------------------------------------
 
 

@@ -224,6 +224,28 @@ def test_scenario_document_round_trip():
         assert clone.to_dict() == doc
 
 
+def test_numpy_scalar_inputs_round_trip_through_json():
+    base = preset("fig2a")
+    numpy_params = replace(
+        base.params, alpha=np.float64(0.9), a_max=np.int64(6), rationality=np.float32(2.5)
+    )
+    cfg = replace(
+        base,
+        params=numpy_params,
+        horizon=np.int64(2),
+        infected_forced_home=np.True_,
+        subtract_initial_immune=np.False_,
+        lockdown_multiplier=np.float64(3.0),
+    )
+    doc = json.loads(json.dumps(cfg.to_dict()))
+    clone = scenario_from_dict(doc)
+    assert clone.to_dict() == doc
+    assert doc["horizon"] == 2 and doc["infected_forced_home"] is True
+    assert doc["params"]["rationality"] == 2.5
+    # Python inputs keep their exact values.
+    assert json.dumps(base.to_dict()) == json.dumps(scenario_from_dict(base.to_dict()).to_dict())
+
+
 def test_scenario_document_custom_benefit_round_trip():
     cfg = frozen_scenario(
         params=make_params(num_zones=1, a_max=2),
