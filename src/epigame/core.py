@@ -228,16 +228,18 @@ class StateDistribution:
     d: np.ndarray  # (5, Z)
 
     def __post_init__(self) -> None:
-        d = np.array(self.d, dtype=float)
+        d = np.asarray(self.d, dtype=float)
         if d.ndim != 2 or d.shape[0] != NUM_STATES:
             raise ValidationError(f"distribution must have shape (5, Z); got {d.shape}")
-        if not np.isfinite(d).all():
-            raise ValidationError("distribution contains non-finite entries")
-        if (d < 0.0).any():
-            raise ValidationError(f"distribution has negative mass (min {d.min()})")
-        total = float(d.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"distribution mass must be 1 within {PROB_TOL}; got {total}")
+        # One test of all conditions first (an infinite entry makes the total infinite).
+        total = float(d.sum()) if d.min(initial=0.0) >= 0.0 else math.nan
+        if not abs(total - 1.0) <= PROB_TOL:
+            if not np.isfinite(d).all():
+                raise ValidationError("distribution contains non-finite entries")
+            if (d < 0.0).any():
+                raise ValidationError(f"distribution has negative mass (min {d.min()})")
+            if abs(total - 1.0) > PROB_TOL:
+                raise ValidationError(f"distribution mass must be 1 within {PROB_TOL}; got {total}")
         d = d / total
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
@@ -275,7 +277,7 @@ class Policy:
     a_max: int
 
     def __post_init__(self) -> None:
-        rows = policy_rows(np.array(self.class_rows, dtype=float), self.a_max)
+        rows = policy_rows(np.asarray(self.class_rows, dtype=float), self.a_max)
         rows.setflags(write=False)
         object.__setattr__(self, "class_rows", rows)
 
@@ -315,6 +317,11 @@ def policy_rows(rows: np.ndarray, a_max: int) -> np.ndarray:
             f"policy rows have {rows.shape[2]} actions; expected {expected} "
             f"for a_max={a_max} and {zones} zones"
         )
+    # One test of all conditions first (an infinite entry makes its row sum infinite).
+    if rows.min(initial=0.0) >= 0.0:
+        sums = rows.sum(axis=-1)
+        if np.abs(sums - 1.0).max(initial=0.0) <= PROB_TOL:
+            return rows / sums[..., None]
     if not np.isfinite(rows).all():
         raise ValidationError("policy rows contain non-finite entries")
     if (rows < 0.0).any():

@@ -38,11 +38,7 @@ class ActivityMasses:
     symptomatic: np.ndarray  # (Z,) activity of agents in I
 
     def __post_init__(self) -> None:
-        arrays = [np.array(getattr(self, f.name), dtype=float) for f in fields(self)]
-        check_activity(*arrays)
-        for f, arr in zip(fields(self), arrays):
-            arr.setflags(write=False)
-            object.__setattr__(self, f.name, arr)
+        _store_checked_rows(self, check_activity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,11 +50,7 @@ class EncounterProbs:
     symptomatic: np.ndarray  # (Z,) partner is symptomatically infected
 
     def __post_init__(self) -> None:
-        arrays = [np.array(getattr(self, f.name), dtype=float) for f in fields(self)]
-        check_encounter(*arrays)
-        for f, arr in zip(fields(self), arrays):
-            arr.setflags(write=False)
-            object.__setattr__(self, f.name, arr)
+        _store_checked_rows(self, check_encounter)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +71,35 @@ class TransitionKernel:
         return propagate_mass(dist.d, self.matrix)
 
 
-def check_activity(total: np.ndarray, asymptomatic: np.ndarray, symptomatic: np.ndarray) -> None:
-    """Raise ValidationError unless the float arrays are valid :class:`ActivityMasses`."""
+def _store_checked_rows(container, check) -> None:
+    """Store the three fields of ``container`` as read-only float arrays that pass ``check``.
+
+    Fields of one shape are checked as one stacked (3, Z) table, others as
+    three arrays.
+    """
+    arrays = [np.array(getattr(container, f.name), dtype=float) for f in fields(container)]
+    check(np.stack(arrays) if len({arr.shape for arr in arrays}) == 1 else arrays)
+    for f, arr in zip(fields(container), arrays):
+        arr.setflags(write=False)
+        object.__setattr__(container, f.name, arr)
+
+
+def check_activity(masses) -> None:
+    """Raise ValidationError unless ``masses`` are valid :class:`ActivityMasses` fields.
+
+    ``masses`` is the float (3, Z) table of the fields, or any three float
+    arrays. A valid table passes after one test of all conditions; anything
+    else goes through the per-field checks, which name the field at fault.
+    """
+    if (
+        isinstance(masses, np.ndarray)
+        and masses.ndim == 2
+        and masses.min(initial=0.0) >= 0.0
+        and masses.max(initial=0.0) < np.inf
+        and not (masses[1] + masses[2] > masses[0] + PROB_TOL).any()
+    ):
+        return
+    total, asymptomatic, symptomatic = masses
     named = {"total": total, "asymptomatic": asymptomatic, "symptomatic": symptomatic}
     for name, arr in named.items():
         if arr.ndim != 1:
@@ -91,14 +110,27 @@ def check_activity(total: np.ndarray, asymptomatic: np.ndarray, symptomatic: np.
         raise ValidationError("infectious activity exceeds total activity")
 
 
-def check_encounter(
-    no_partner: np.ndarray, asymptomatic: np.ndarray, symptomatic: np.ndarray
-) -> None:
-    """Raise ValidationError unless the float arrays are valid :class:`EncounterProbs`."""
+def check_encounter(probs) -> None:
+    """Raise ValidationError unless ``probs`` are valid :class:`EncounterProbs` fields.
+
+    ``probs`` is the float (3, Z) table of the fields, or any three float
+    arrays. A valid table passes after one test of all conditions (no entry
+    exceeds 1 when none is negative and no column sum exceeds 1); anything
+    else goes through the per-field checks, which name the field at fault.
+    """
+    if (
+        isinstance(probs, np.ndarray)
+        and probs.min(initial=0.0) >= 0.0
+        and probs.sum(axis=0).max(initial=0.0) <= 1.0 + PROB_TOL
+    ):
+        return
+    no_partner, asymptomatic, symptomatic = probs
     named = {"no_partner": no_partner, "asymptomatic": asymptomatic, "symptomatic": symptomatic}
     for name, arr in named.items():
         if (arr < 0.0).any() or (arr > 1.0 + PROB_TOL).any():
             raise ValidationError(f"encounter probability {name} outside [0, 1]")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"encounter probability {name} must be finite")
     if (no_partner + asymptomatic + symptomatic > 1.0 + PROB_TOL).any():
         raise ValidationError("encounter probabilities of one attempt exceed 1")
 
@@ -108,6 +140,9 @@ def check_kernel(m: np.ndarray, num_zones: int) -> None:
     n = NUM_STATES * num_zones
     if m.shape != (n, n):
         raise ValidationError(f"kernel must have shape ({n}, {n}); got {m.shape}")
+    # One test of all conditions first (an infinite entry makes its row sum infinite).
+    if m.min(initial=0.0) >= 0.0 and np.abs(m.sum(axis=1) - 1.0).max() <= PROB_TOL:
+        return
     if (m < 0.0).any() or not np.isfinite(m).all():
         raise ValidationError("kernel entries must be finite and nonnegative")
     worst = float(np.abs(m.sum(axis=1) - 1.0).max())
@@ -120,19 +155,24 @@ def propagate_mass(d: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return unflatten_state_table(flatten_state_table(d) @ matrix, d.shape[1])
 
 
-def activity_arrays(rows: np.ndarray, d: np.ndarray, degrees: np.ndarray) -> tuple:
-    """Total, asymptomatic and symptomatic activity (Z,) of state rows (5, Z, J) on ``d``."""
+def activity_arrays(rows: np.ndarray, d: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Total, asymptomatic and symptomatic activity (3, Z) of state rows (5, Z, J) on ``d``."""
     mean_deg = rows @ degrees  # (5, Z)
-    total = np.einsum("sz,sz->z", d, mean_deg)
-    asym = d[InfectionState.A] * mean_deg[InfectionState.A]
-    sym = d[InfectionState.I] * mean_deg[InfectionState.I]
-    return total, asym, sym
+    out = np.empty((3, d.shape[1]))
+    np.einsum("sz,sz->z", d, mean_deg, out=out[0])
+    np.multiply(d[InfectionState.A], mean_deg[InfectionState.A], out=out[1])
+    np.multiply(d[InfectionState.I], mean_deg[InfectionState.I], out=out[2])
+    return out
 
 
-def encounter_arrays(total, asymptomatic, symptomatic, epsilon: float) -> tuple:
-    """No-partner, asymptomatic and symptomatic encounter probabilities (Z,)."""
+def encounter_arrays(total, asymptomatic, symptomatic, epsilon: float) -> np.ndarray:
+    """No-partner, asymptomatic and symptomatic encounter probabilities (3, Z)."""
     pool = total + epsilon
-    return epsilon / pool, asymptomatic / pool, symptomatic / pool
+    out = np.empty((3,) + pool.shape)
+    np.divide(epsilon, pool, out=out[0])
+    np.divide(asymptomatic, pool, out=out[1])
+    np.divide(symptomatic, pool, out=out[2])
+    return out
 
 
 def activity_masses(social: SocialState, p: ModelParams) -> ActivityMasses:
@@ -197,9 +237,9 @@ def survival_table(
     masses and encounter probabilities are checked on the way.
     """
     masses = activity_arrays(rows, d, degrees)
-    check_activity(*masses)
+    check_activity(masses)
     probs = encounter_arrays(*masses, p.epsilon)
-    check_encounter(*probs)
+    check_encounter(probs)
     pressure = p.beta_A * probs[1] + p.beta_I * probs[2]  # (Z,)
     base = np.clip(1.0 - pressure, 0.0, 1.0)
     return base[:, None] ** powers[None, :]
