@@ -25,6 +25,7 @@ from .core import (
     SocialState,
     StateDistribution,
     ValidationError,
+    is_real,
 )
 from .decision import DayPlan, blend
 from .epidemic import propagate_mass
@@ -332,8 +333,10 @@ def infection_waves(series, prominence: float = WAVE_PROMINENCE) -> tuple[bool, 
     them sits at least ``prominence`` below both. Returns the detection
     flag (at least two waves) and the days of all maxima that qualify.
     """
-    if prominence <= 0.0:
-        raise ValidationError(f"wave prominence must be positive; got {prominence}")
+    if not is_real(prominence) or prominence <= 0.0:
+        raise ValidationError(
+            f"wave prominence must be a finite positive number; got {prominence!r}"
+        )
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValidationError("wave detection needs a nonempty one-dimensional series")

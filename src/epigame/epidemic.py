@@ -38,7 +38,11 @@ class ActivityMasses:
     symptomatic: np.ndarray  # (Z,) activity of agents in I
 
     def __post_init__(self) -> None:
-        _store_checked_rows(self, check_activity)
+        for name, arr in _stored_fields(self, "activity mass"):
+            if (arr < 0.0).any() or not np.isfinite(arr).all():
+                raise ValidationError(f"activity mass {name} must be finite and nonnegative")
+        if (self.asymptomatic + self.symptomatic > self.total + PROB_TOL).any():
+            raise ValidationError("infectious activity exceeds total activity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +54,13 @@ class EncounterProbs:
     symptomatic: np.ndarray  # (Z,) partner is symptomatically infected
 
     def __post_init__(self) -> None:
-        _store_checked_rows(self, check_encounter)
+        for name, arr in _stored_fields(self, "encounter probability"):
+            if (arr < 0.0).any() or (arr > 1.0 + PROB_TOL).any():
+                raise ValidationError(f"encounter probability {name} outside [0, 1]")
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"encounter probability {name} must be finite")
+        if (self.no_partner + self.asymptomatic + self.symptomatic > 1.0 + PROB_TOL).any():
+            raise ValidationError("encounter probabilities of one attempt exceed 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,68 +81,27 @@ class TransitionKernel:
         return propagate_mass(dist.d, self.matrix)
 
 
-def _store_checked_rows(container, check) -> None:
-    """Store the three fields of ``container`` as read-only float arrays that pass ``check``.
+def _stored_fields(container, kind: str):
+    """Yield (name, array) for each field of ``container``, stored as a read-only float array.
 
-    Fields of one shape are checked as one stacked (3, Z) table, others as
-    three arrays.
+    Each field must be one-dimensional and as long as the first; ``kind``
+    names the fields in the messages. The caller checks the values of each
+    field as it is yielded.
     """
-    arrays = [np.array(getattr(container, f.name), dtype=float) for f in fields(container)]
-    check(np.stack(arrays) if len({arr.shape for arr in arrays}) == 1 else arrays)
-    for f, arr in zip(fields(container), arrays):
+    first = None
+    for f in fields(container):
+        arr = np.array(getattr(container, f.name), dtype=float)
+        if arr.ndim != 1:
+            raise ValidationError(f"{kind} {f.name} must be one-dimensional")
+        if first is None:
+            first = (f.name, arr.size)
+        elif arr.size != first[1]:
+            raise ValidationError(
+                f"{kind} {f.name} has length {arr.size}; {first[0]} has length {first[1]}"
+            )
         arr.setflags(write=False)
         object.__setattr__(container, f.name, arr)
-
-
-def check_activity(masses) -> None:
-    """Raise ValidationError unless ``masses`` are valid :class:`ActivityMasses` fields.
-
-    ``masses`` is the float (3, Z) table of the fields, or any three float
-    arrays. A valid table passes after one test of all conditions; anything
-    else goes through the per-field checks, which name the field at fault.
-    """
-    if (
-        isinstance(masses, np.ndarray)
-        and masses.ndim == 2
-        and masses.min(initial=0.0) >= 0.0
-        and masses.max(initial=0.0) < np.inf
-        and not (masses[1] + masses[2] > masses[0] + PROB_TOL).any()
-    ):
-        return
-    total, asymptomatic, symptomatic = masses
-    named = {"total": total, "asymptomatic": asymptomatic, "symptomatic": symptomatic}
-    for name, arr in named.items():
-        if arr.ndim != 1:
-            raise ValidationError(f"activity mass {name} must be one-dimensional")
-        if (arr < 0.0).any() or not np.isfinite(arr).all():
-            raise ValidationError(f"activity mass {name} must be finite and nonnegative")
-    if (asymptomatic + symptomatic > total + PROB_TOL).any():
-        raise ValidationError("infectious activity exceeds total activity")
-
-
-def check_encounter(probs) -> None:
-    """Raise ValidationError unless ``probs`` are valid :class:`EncounterProbs` fields.
-
-    ``probs`` is the float (3, Z) table of the fields, or any three float
-    arrays. A valid table passes after one test of all conditions (no entry
-    exceeds 1 when none is negative and no column sum exceeds 1); anything
-    else goes through the per-field checks, which name the field at fault.
-    """
-    if (
-        isinstance(probs, np.ndarray)
-        and probs.min(initial=0.0) >= 0.0
-        and probs.sum(axis=0).max(initial=0.0) <= 1.0 + PROB_TOL
-    ):
-        return
-    no_partner, asymptomatic, symptomatic = probs
-    named = {"no_partner": no_partner, "asymptomatic": asymptomatic, "symptomatic": symptomatic}
-    for name, arr in named.items():
-        if (arr < 0.0).any() or (arr > 1.0 + PROB_TOL).any():
-            raise ValidationError(f"encounter probability {name} outside [0, 1]")
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"encounter probability {name} must be finite")
-    if (no_partner + asymptomatic + symptomatic > 1.0 + PROB_TOL).any():
-        raise ValidationError("encounter probabilities of one attempt exceed 1")
+        yield f.name, arr
 
 
 def check_kernel(m: np.ndarray, num_zones: int) -> None:
@@ -234,12 +203,12 @@ def survival_table(
 
     ``rows`` (5, Z, J) act on the distribution table ``d`` (5, Z);
     ``degrees`` is the activation degree of each flat action. The activity
-    masses and encounter probabilities are checked on the way.
+    masses and encounter probabilities are not checked: when the rows are
+    stochastic, ``d`` is a distribution, the degrees lie in 0..a_max and
+    ``epsilon > 0``, they pass the checks of :class:`ActivityMasses` and
+    :class:`EncounterProbs` by construction.
     """
-    masses = activity_arrays(rows, d, degrees)
-    check_activity(masses)
-    probs = encounter_arrays(*masses, p.epsilon)
-    check_encounter(probs)
+    probs = encounter_arrays(*activity_arrays(rows, d, degrees), p.epsilon)
     pressure = p.beta_A * probs[1] + p.beta_I * probs[2]  # (Z,)
     base = np.clip(1.0 - pressure, 0.0, 1.0)
     return base[:, None] ** powers[None, :]

@@ -123,8 +123,10 @@ def lockdown_cost(
         raise ValidationError(f"lockdown_degrees must have shape (3, Z); got {ld.shape}")
     if np.any(ld != np.floor(ld)) or np.any(ld < 0) or np.any(ld > a_max):
         raise ValidationError(f"lockdown_degrees must be integers in [0, {a_max}]")
-    if multiplier <= 0.0:
-        raise ValidationError(f"lockdown_multiplier must be positive; got {multiplier}")
+    if not is_real(multiplier) or multiplier <= 0.0:
+        raise ValidationError(
+            f"lockdown_multiplier must be a finite positive number; got {multiplier!r}"
+        )
     ld = ld.astype(int)
     healthy, sympt, recov = (
         ld[BehaviorClass.HEALTHY],
@@ -140,11 +142,6 @@ def lockdown_cost(
     over = degrees[None, None, :] > ld[:, :, None]  # (3, Z, a_max+1)
     per_class = np.where(over, multiplier * o[None, None, :], 0.0)
     return per_class[CLASS_OF_STATE]  # (5, Z, a_max+1)
-
-
-def reward_table(cfg: RewardConfig) -> np.ndarray:
-    """Immediate reward of every (state, zone, flat action); shape (5, Z, J)."""
-    return cfg.table
 
 
 def immediate_reward(

@@ -76,7 +76,7 @@ class ScenarioConfig:
             object.__setattr__(self, "benefit", benefit)
         if not is_integer(self.horizon) or self.horizon < 1:
             raise ValidationError(f"horizon must be an integer >= 1; got {self.horizon!r}")
-        for name in ("lockdown_multiplier", "extinction_threshold", "policy_settle_threshold"):
+        for name in ("extinction_threshold", "policy_settle_threshold"):
             value = getattr(self, name)
             if not is_real(value) or value <= 0.0:
                 raise ValidationError(f"{name} must be a finite positive number; got {value!r}")

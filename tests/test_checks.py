@@ -1,11 +1,20 @@
-"""The one-pass checks against the per-field checks they short-cut.
+"""The container checks against the per-field checks they stand for.
 
-Each check helper first tests all of its conditions at once and only on a
-failure runs the per-field sequence that names the fault. The oracles below
-are that sequence as it stood before the one-pass test was added, so every
-helper must raise the same exception type and message as its oracle on
-valid inputs and on corrupted copies of them. The one recorded difference:
-``check_encounter`` now rejects NaN entries, which its oracle let through.
+``ActivityMasses`` and ``EncounterProbs`` run the per-field sequence
+themselves; ``check_kernel``, ``policy_rows`` and ``StateDistribution``
+first test all of their conditions at once and only on a failure run the
+per-field sequence that names the fault. The oracles below are those
+sequences as they stood before the one-pass tests were added, so every
+check must raise the same exception type and message as its oracle on
+valid inputs and on corrupted copies of them. The recorded differences are
+tightenings the oracles let through: ``EncounterProbs`` rejects NaN entries,
+both table containers reject fields of different lengths, and
+``EncounterProbs`` rejects fields that are not one-dimensional.
+
+The day core no longer builds those two containers: ``survival_table``
+derives the activity masses and encounter probabilities from checked rows
+and a checked distribution. The last tests show that the derived values
+meet the container conditions by construction.
 """
 
 import numpy as np
@@ -20,8 +29,15 @@ from epigame import (
     TransitionKernel,
     ValidationError,
 )
-from epigame.core import NUM_CLASSES, NUM_STATES, PROB_TOL, policy_rows
-from epigame.epidemic import check_activity, check_encounter, check_kernel
+from epigame.core import (
+    NUM_CLASSES,
+    NUM_STATES,
+    PROB_TOL,
+    InfectionState,
+    action_degrees,
+    policy_rows,
+)
+from epigame.epidemic import activity_arrays, check_kernel, encounter_arrays
 
 CASES = 1000
 
@@ -215,39 +231,49 @@ def corruptions(kind):
     return {**COMMON, **sums[kind]}
 
 
-def assert_table_check(kind, check, oracle, table):
-    """``check`` on ``table`` and the container on its rows raise as the oracle does."""
-    container = ActivityMasses if kind == "activity" else EncounterProbs
+TABLES = {
+    "activity": (ActivityMasses, oracle_activity, valid_activity, "activity mass"),
+    "encounter": (EncounterProbs, oracle_encounter, valid_encounter, "encounter probability"),
+}
 
+
+def build_table(container):
     def build(rows):
         container(*rows)
 
-    expected = outcome(oracle, *table)
-    assert outcome(check, table) == expected
-    assert outcome(build, table) == expected
+    return build
 
 
-@pytest.mark.parametrize(
-    "kind, check, oracle, make",
-    [
-        ("activity", check_activity, oracle_activity, valid_activity),
-        ("encounter", check_encounter, oracle_encounter, valid_encounter),
-    ],
-)
-def test_table_checks_match_the_per_field_sequence(kind, check, oracle, make):
+@pytest.mark.parametrize("kind", TABLES, ids=["ActivityMasses", "EncounterProbs"])
+def test_table_checks_match_the_per_field_sequence(kind):
+    container, oracle, make, what = TABLES[kind]
+    build = build_table(container)
+    first = "total" if kind == "activity" else "no_partner"
     rng = np.random.default_rng(1100 if kind == "activity" else 1101)
     for _ in range(CASES):
         table = make(rng)
-        assert outcome(check, table) == ("ok", None)
+        assert outcome(build, table) == ("ok", None)
         for name, corrupt in corruptions(kind).items():
             if name == "nan" and kind == "encounter":
                 continue  # the recorded tightening, pinned below
-            assert_table_check(kind, check, oracle, corrupt(table.copy(), rng))
-        # wrong shapes: two-dimensional fields, scalar fields, fields of different lengths
-        assert_table_check(kind, check, oracle, np.repeat(table[:, :, None], 2, axis=2))
-        assert_table_check(kind, check, oracle, table[:, 0].copy())
-        assert_table_check(kind, check, oracle, [table[0], table[1, :1], table[2]])
-    assert_table_check(kind, check, oracle, np.empty((3, 0)))
+            bad = corrupt(table.copy(), rng)
+            assert outcome(build, bad) == outcome(oracle, *bad)
+        # wrong shapes: two-dimensional fields and scalar fields
+        for bad in (np.repeat(table[:, :, None], 2, axis=2), table[:, 0].copy()):
+            if kind == "activity":
+                assert outcome(build, bad) == outcome(oracle, *bad)
+            else:  # tightened: the oracle checks no dimension
+                expected = (ValidationError, f"{what} {first} must be one-dimensional")
+                assert outcome(build, bad) == expected
+        # fields of different lengths: tightened, the oracle lets them broadcast
+        zones = table.shape[1]
+        if zones > 1:
+            message = f"{what} asymptomatic has length 1; {first} has length {zones}"
+            assert outcome(build, [table[0], table[1, :1], table[2]]) == (ValidationError, message)
+            message = f"{what} asymptomatic has length {zones}; {first} has length 1"
+            assert outcome(build, [table[0, :1], table[1], table[2]]) == (ValidationError, message)
+    empty = np.empty((3, 0))
+    assert outcome(build, empty) == outcome(oracle, *empty)
 
 
 def test_encounter_check_rejects_nan_naming_the_field():
@@ -260,8 +286,7 @@ def test_encounter_check_rejects_nan_naming_the_field():
         # the per-field sequence let it through
         assert outcome(oracle_encounter, *table) == ("ok", None)
         expected = (ValidationError, f"encounter probability {fields[k]} must be finite")
-        assert outcome(check_encounter, table) == expected
-        assert outcome(lambda t: EncounterProbs(*t), table) == expected
+        assert outcome(build_table(EncounterProbs), table) == expected
     with pytest.raises(ValidationError, match="no_partner must be finite"):
         EncounterProbs(np.array([np.nan]), np.array([0.1]), np.array([0.2]))
 
@@ -338,3 +363,78 @@ def test_containers_store_a_read_only_array_of_their_own(build, stored, given):
     assert not kept.flags.writeable
     given[...] = 0.0
     assert kept.tobytes() == before.tobytes()
+
+
+# --- derived values: in range by construction -----------------------------------
+
+
+def random_day_inputs(rng, a_max=None):
+    """State rows, distribution table, degrees and ``epsilon`` of a random checked social state.
+
+    Rows and distribution go through ``Policy`` and ``StateDistribution``;
+    some rows are pure actions, some entries zero, and ``epsilon`` spans
+    1e-12 to 10.
+    """
+    zones = int(rng.integers(1, 7))
+    a_max = int(rng.integers(0, 7)) if a_max is None else a_max
+    width = (a_max + 1) * zones
+    rows = rng.random((NUM_CLASSES, zones, width)) * (rng.random((NUM_CLASSES, zones, width)) > 0.3)
+    pure = rng.random((NUM_CLASSES, zones)) < 0.3
+    rows[pure] = np.eye(width)[rng.integers(width, size=int(pure.sum()))]
+    rows[rows.sum(axis=-1) == 0.0, 0] = 1.0
+    d = rng.random((NUM_STATES, zones)) * (rng.random((NUM_STATES, zones)) > 0.3)
+    d[rng.integers(NUM_STATES), rng.integers(zones)] += rng.random() + 1e-3
+    policy = Policy(rows / rows.sum(axis=-1, keepdims=True), a_max)
+    dist = StateDistribution(d / d.sum())
+    return policy.state_rows(), dist.d, action_degrees(a_max, zones), 10.0 ** rng.uniform(-12, 1)
+
+
+def derived_violations(rows, d, degrees, epsilon):
+    """The container conditions that the day core's derived values break."""
+    masses = activity_arrays(rows, d, degrees)
+    probs = encounter_arrays(*masses, epsilon)
+    broken = []
+    if not (np.isfinite(masses).all() and (masses >= 0.0).all()):
+        broken.append("masses finite and nonnegative")
+    if (masses[1] + masses[2] > masses[0] + PROB_TOL).any():
+        broken.append("infectious activity within total")
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():
+        broken.append("probabilities in [0, 1]")
+    if (probs.sum(axis=0) > 1.0 + PROB_TOL).any():
+        broken.append("attempt sums at most 1")
+    return broken
+
+
+def test_derived_activity_and_encounter_values_stay_in_range():
+    rng = np.random.default_rng(1200)
+    for _ in range(CASES):
+        rows, d, degrees, epsilon = random_day_inputs(rng)
+        assert derived_violations(rows, d, degrees, epsilon) == []
+
+
+def test_derived_value_invariants_catch_inputs_past_the_container_checks():
+    """A negative mass or row weight that keeps every sum breaks the invariants."""
+    rng = np.random.default_rng(1201)
+    infectious = (InfectionState.A, InfectionState.I)
+    for _ in range(CASES):
+        rows, d, degrees, epsilon = random_day_inputs(rng, a_max=int(rng.integers(1, 7)))
+        s, z = infectious[rng.integers(2)], int(rng.integers(d.shape[1]))
+        rows = rows.copy()
+        rows[s, z] = 1.0 / rows.shape[2]  # positive mean degree
+        d = d.copy()
+        d[s, z] += 0.1
+        d /= d.sum()
+        assert derived_violations(rows, d, degrees, epsilon) == []
+        # a negative entry of d, its zone column keeping its sum
+        bad = d.copy()
+        shift = bad[s, z] + rng.uniform(1e-3, 0.5)
+        bad[s, z] -= shift
+        bad[InfectionState.R, z] += shift
+        assert derived_violations(rows, bad, degrees, epsilon)
+        # a negative weight on the top degree, its row keeping its sum
+        bad = rows.copy()
+        top, idle = int(np.argmax(degrees)), int(np.argmin(degrees))
+        shift = bad[s, z, top] + rng.uniform(1.0, 2.0)
+        bad[s, z, top] -= shift
+        bad[s, z, idle] += shift
+        assert derived_violations(bad, d, degrees, epsilon)

@@ -36,7 +36,6 @@ from epigame.core import (
 )
 from epigame import decision
 from epigame.decision import TIE_TOL, class_q, day_terms
-from epigame.rewards import reward_table
 from conftest import make_params, random_reward_config, random_social
 
 from test_rewards import zero_cost_config
@@ -116,7 +115,7 @@ def test_day_terms_match_the_public_pieces():
         p = make_params(num_zones=num_zones, a_max=3)
         cfg = random_reward_config(rng, p)
         social = random_social(rng, p)
-        kernel, q = day_terms(social, reward_table(cfg), p)
+        kernel, q = day_terms(social, cfg.table, p)
         expected_kernel, values = solved_value(social, cfg, p)
         assert np.array_equal(kernel.matrix, expected_kernel.matrix)
         assert np.array_equal(q, q_function(social, values, cfg, p))
@@ -146,7 +145,7 @@ def test_q_equals_reward_table_when_myopic():
     social = random_social(rng, p)
     _, values = solved_value(social, cfg, p)
     q = q_function(social, values, cfg, p)
-    assert q == pytest.approx(reward_table(cfg), abs=1e-13)
+    assert q == pytest.approx(cfg.table, abs=1e-13)
 
 
 def test_q_recomposes_value_under_the_policy():

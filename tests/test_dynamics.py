@@ -427,6 +427,9 @@ def test_wave_detection_rejects_bad_inputs():
         infection_waves([0.0, 0.1], prominence=0.0)
     with pytest.raises(ValidationError):
         infection_waves([0.0, 0.1], prominence=-0.5)
+    for prominence in (float("nan"), float("inf"), "x"):
+        with pytest.raises(ValidationError, match="prominence"):
+            infection_waves([0, 1, 0, 1, 0], prominence)
     with pytest.raises(ValidationError):
         infection_waves([])
     with pytest.raises(ValidationError):

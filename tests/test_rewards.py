@@ -15,7 +15,6 @@ from epigame import (
     uniform_no_move_policy,
 )
 from epigame.core import CLASS_OF_STATE, NUM_STATES, unflatten_action
-from epigame.rewards import reward_table
 from conftest import make_params, random_reward_config
 
 
@@ -99,6 +98,12 @@ def test_lockdown_rejects_bad_degrees_and_multiplier():
         lockdown_cost(np.array([[2], [0]]), o)  # one class row missing
     with pytest.raises(ValidationError):
         lockdown_cost(np.array([[2], [0], [6]]), o, multiplier=0.0)
+
+
+@pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), -float("inf"), True, "x"])
+def test_lockdown_rejects_non_real_multiplier(multiplier):
+    with pytest.raises(ValidationError, match="lockdown_multiplier must be a finite positive"):
+        lockdown_cost(np.array([[2], [0], [6]]), linear_benefit(6), multiplier)
 
 
 # --- reward config invariants ------------------------------------------------------
@@ -193,7 +198,7 @@ def test_reward_table_matches_scalar_rewards():
     rng = np.random.default_rng(13)
     p = make_params(num_zones=2, a_max=3)
     cfg = random_reward_config(rng, p)
-    table = reward_table(cfg)
+    table = cfg.table
     assert table.shape == (NUM_STATES, 2, p.num_actions)
     for s in range(NUM_STATES):
         for z in range(2):
@@ -206,7 +211,7 @@ def test_reward_table_matches_scalar_rewards():
 
 def test_illness_cost_only_hits_symptomatic_rows():
     cfg = zero_cost_config(num_zones=2)
-    table = reward_table(cfg)
+    table = cfg.table
     assert np.array_equal(table[InfectionState.I], table[InfectionState.S] - 10.0)
     assert np.array_equal(table[InfectionState.R], table[InfectionState.S])
 
