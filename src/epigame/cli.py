@@ -165,13 +165,18 @@ def write_social_state(social: SocialState, path: Path) -> None:
     _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def read_social_state(path: Path, *, num_zones: int, a_max: int) -> SocialState:
+def _read_json(path: Path, kind: str):
+    """The JSON document at ``path``; ``kind`` names the file in the errors."""
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except OSError as exc:
-        raise ValidationError(f"cannot read social state file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {kind} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"social state file {path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{kind} {path} is not valid JSON: {exc}") from exc
+
+
+def read_social_state(path: Path, *, num_zones: int, a_max: int) -> SocialState:
+    doc = _read_json(path, "social state file")
     if not isinstance(doc, dict) or doc.get("format") != SOCIAL_STATE_FORMAT:
         raise ValidationError(f"{path} is not a social-state file")
     dims = (doc.get("num_zones"), doc.get("a_max"))
@@ -205,14 +210,7 @@ def _load_scenario(args) -> ScenarioConfig | list[ScenarioConfig]:
     if getattr(args, "preset", None):
         return preset(args.preset)
     if getattr(args, "config", None):
-        path = Path(args.config)
-        try:
-            doc = json.loads(path.read_text())
-        except OSError as exc:
-            raise ValidationError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-        return scenario_from_dict(doc)
+        return scenario_from_dict(_read_json(Path(args.config), "config"))
     raise ValidationError("one of --preset or --config is required")
 
 

@@ -66,6 +66,11 @@ class BehaviorClass(IntEnum):
 CLASS_OF_STATE = np.array([0, 0, 1, 2, 0], dtype=np.intp)
 CLASS_OF_STATE.setflags(write=False)
 
+#: Representative InfectionState of each BehaviorClass, indexable by class value:
+#: S for the healthy class (its states share one cost table), then I and R.
+STATE_OF_CLASS = np.array([0, 2, 3], dtype=np.intp)
+STATE_OF_CLASS.setflags(write=False)
+
 HEALTHY_STATES = (InfectionState.S, InfectionState.A, InfectionState.U)
 
 
@@ -122,16 +127,21 @@ def numeric_table(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """``value`` as a read-only float array of ``shape``; anything but numbers is rejected."""
     arr = np.array(value, dtype=object)  # ragged nesting keeps its lists as entries
     _require(arr.shape == shape, f"{name} must be a table of shape {shape}; got {arr.shape}")
+    arr = float_entries(name, arr)
+    _require(bool(np.all(np.isfinite(arr))), f"{name} contains non-finite entries")
+    arr.setflags(write=False)
+    return arr
+
+
+def float_entries(name: str, arr: np.ndarray) -> np.ndarray:
+    """The object array ``arr`` as floats; bools and anything but numbers are rejected."""
     bad = sorted(
         kind.__name__
         for kind in set(map(type, arr.flat))  # one check per entry type, not per entry
         if issubclass(kind, bool) or not issubclass(kind, (int, float, np.integer, np.floating))
     )
     _require(not bad, f"{name} entries must be numbers; got {', '.join(bad)} entries")
-    arr = arr.astype(float)
-    _require(bool(np.all(np.isfinite(arr))), f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+    return arr.astype(float)
 
 
 def validate_params(p: ModelParams) -> ModelParams:

@@ -17,6 +17,7 @@ from .core import (
     HEALTHY_STATES,
     NUM_CLASSES,
     NUM_STATES,
+    STATE_OF_CLASS,
     BehaviorClass,
     InfectionState,
     ModelParams,
@@ -26,6 +27,7 @@ from .core import (
     ValidationError,
     action_degrees,
     flatten_state_table,
+    numeric_table,
     policy_rows,
     unflatten_state_table,
 )
@@ -62,9 +64,7 @@ def value_function(
     Solves ``(I - alpha * P) V = R`` directly; the system is small and
     strictly diagonally dominant for ``alpha < 1``.
     """
-    rewards = np.asarray(expected_rewards, dtype=float)
-    if rewards.shape != (NUM_STATES, p.num_zones):
-        raise ValidationError(f"expected rewards must have shape (5, {p.num_zones})")
+    rewards = numeric_table("expected rewards", expected_rewards, (NUM_STATES, p.num_zones))
     return solve_values(kernel.matrix, rewards, p.alpha)
 
 
@@ -79,7 +79,7 @@ def solve_values(matrix: np.ndarray, rewards: np.ndarray, alpha: float) -> np.nd
     v = np.linalg.solve(system, r)
     residual = float(np.abs(system @ v - r).max())
     tol = VALUE_RESIDUAL_TOL * max(1.0, float(np.abs(r).max()) / (1.0 - alpha))
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual fails too
         raise NumericsError(f"value equation residual {residual} exceeds {tol}")
     return unflatten_state_table(v, rewards.shape[1])
 
@@ -127,9 +127,9 @@ class DayPlan:
     ``table`` is a :class:`~epigame.rewards.RewardConfig`'s reward table,
     checked against the parameters' (5, Z, J). :meth:`state_rewards`,
     :meth:`terms` and :meth:`target` evaluate a day on plain arrays: class
-    rows (3, Z, J) and the distribution table (5, Z). They run every check
-    the containers of the public pieces run, through the same helpers, but
-    build none of the containers.
+    rows (3, Z, J) and the distribution table (5, Z). They build none of the
+    public containers and check the kernel, the value residual and the
+    logit target's rows, but not the values they derive in range.
     """
 
     table: np.ndarray  # (5, Z, J)
@@ -196,18 +196,6 @@ class DayPlan:
         return policy_rows(logit_rows(cq, self.feasible, p.rationality), p.a_max)
 
 
-def day_terms(
-    social: SocialState, table: np.ndarray, p: ModelParams
-) -> tuple[TransitionKernel, np.ndarray]:
-    """One day's evaluation of a social state: its kernel and its Q table.
-
-    ``table`` is a :class:`~epigame.rewards.RewardConfig`'s reward table.
-    """
-    plan = DayPlan(table, p)
-    matrix, q = plan.terms(*plan.state_rewards(social.policy.class_rows), social.dist.d)
-    return TransitionKernel(matrix, p.num_zones), q
-
-
 def feasible_actions(p: ModelParams, infected_forced_home: bool = True) -> np.ndarray:
     """Boolean (3, J) mask of actions available to each behavior class.
 
@@ -227,11 +215,15 @@ def best_response(
     *,
     feasible: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Flat indices of all actions within ``TIE_TOL`` of the best Q value."""
+    """Flat indices of the :func:`tied` best ``feasible`` actions of state ``s`` in zone ``z``."""
     row = np.asarray(q)[int(s), z]
     allowed = np.ones(row.shape, dtype=bool) if feasible is None else np.asarray(feasible, bool)
-    best = row[allowed].max()
-    return np.flatnonzero((row >= best - TIE_TOL) & allowed)
+    return np.flatnonzero(allowed)[tied(row[allowed])]
+
+
+def tied(values: np.ndarray) -> np.ndarray:
+    """The one tie rule: ``values`` within ``TIE_TOL`` of the maximum along the last axis."""
+    return values >= values.max(axis=-1, keepdims=True) - TIE_TOL
 
 
 def check_healthy_q(mode: str) -> None:
@@ -240,32 +232,20 @@ def check_healthy_q(mode: str) -> None:
         raise ValidationError(f"healthy_q must be one of {HEALTHY_Q_MODES}; got {mode!r}")
 
 
-def class_q(
-    q: np.ndarray,
-    dist_table: np.ndarray,
-    mode: str = "belief",
-) -> np.ndarray:
-    """Q values per behavior class; shape (3, Z, J).
+def healthy_blend(q: np.ndarray, d: np.ndarray, mode: str) -> np.ndarray:
+    """Q values (3, Z, J) per behavior class of the float tables ``q`` and ``d``.
 
-    The healthy class cannot tell S, A and U apart. In ``belief`` mode its
+    Each class takes the Q row of its :data:`~epigame.core.STATE_OF_CLASS`.
+    The healthy class cannot tell S, A and U apart, so in ``belief`` mode its
     Q row is the posterior-weighted blend of the three states' rows given
     the current distribution (falling back to the susceptible row when the
-    zone holds almost no healthy mass); ``assume_susceptible`` always uses
-    the susceptible row.
+    zone holds almost no healthy mass); ``assume_susceptible`` keeps the
+    susceptible row. ``mode`` must already be checked.
     """
-    check_healthy_q(mode)
-    return healthy_blend(np.asarray(q, dtype=float), np.asarray(dist_table, dtype=float), mode)
-
-
-def healthy_blend(q: np.ndarray, d: np.ndarray, mode: str) -> np.ndarray:
-    """:func:`class_q` of float arrays and a checked ``mode``."""
-    zones = q.shape[1]
-    out = np.empty((NUM_CLASSES, zones, q.shape[2]))
-    out[BehaviorClass.SYMPTOMATIC] = q[InfectionState.I]
-    out[BehaviorClass.RECOVERED] = q[InfectionState.R]
+    out = q[STATE_OF_CLASS]
     if mode == "assume_susceptible":
-        out[BehaviorClass.HEALTHY] = q[InfectionState.S]
         return out
+    zones = q.shape[1]
     idx = [int(s) for s in HEALTHY_STATES]
     healthy_mass = d[idx].sum(axis=0)  # (Z,)
     weights = np.zeros((len(idx), zones))
@@ -299,7 +279,8 @@ def logit_choice(
     subtracted before exponentiation so arbitrarily sharp choices stay
     finite.
     """
-    cq = class_q(q, dist_table, healthy_q)
+    check_healthy_q(healthy_q)
+    cq = healthy_blend(np.asarray(q, dtype=float), np.asarray(dist_table, dtype=float), healthy_q)
     mask = feasible_actions(p, infected_forced_home)[:, None, :]
     return Policy(logit_rows(cq, mask, p.rationality), p.a_max)
 

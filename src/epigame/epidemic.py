@@ -25,6 +25,7 @@ from .core import (
     ValidationError,
     action_degrees,
     flatten_state_table,
+    float_entries,
     unflatten_state_table,
 )
 
@@ -84,13 +85,13 @@ class TransitionKernel:
 def _stored_fields(container, kind: str):
     """Yield (name, array) for each field of ``container``, stored as a read-only float array.
 
-    Each field must be one-dimensional and as long as the first; ``kind``
-    names the fields in the messages. The caller checks the values of each
-    field as it is yielded.
+    Each field must hold numbers only, be one-dimensional and be as long as
+    the first; ``kind`` names the fields in the messages. The caller checks
+    the values of each field as it is yielded.
     """
     first = None
     for f in fields(container):
-        arr = np.array(getattr(container, f.name), dtype=float)
+        arr = float_entries(f"{kind} {f.name}", np.array(getattr(container, f.name), dtype=object))
         if arr.ndim != 1:
             raise ValidationError(f"{kind} {f.name} must be one-dimensional")
         if first is None:

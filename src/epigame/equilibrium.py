@@ -21,6 +21,7 @@ from .core import (
     CLASS_OF_STATE,
     NUM_CLASSES,
     NUM_STATES,
+    STATE_OF_CLASS,
     BehaviorClass,
     InfectionState,
     ModelParams,
@@ -30,18 +31,11 @@ from .core import (
     ValidationError,
     flatten_action,
     is_real,
+    numeric_table,
 )
-from .decision import TIE_TOL, DayPlan, feasible_actions
+from .decision import DayPlan, feasible_actions, tied
 from .epidemic import propagate_mass
 from .rewards import RewardConfig
-
-# Representative infection state of each behavior class (cost tables of the
-# healthy states are identical by the RewardConfig invariant).
-_CLASS_STATE = {
-    BehaviorClass.HEALTHY: InfectionState.S,
-    BehaviorClass.SYMPTOMATIC: InfectionState.I,
-    BehaviorClass.RECOVERED: InfectionState.R,
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +74,9 @@ def _partition(net: np.ndarray, alpha: float, migration_cost: float) -> tuple:
     over zones, and the best, leave and neutral zones.
     """
     values = net.max(axis=1)
-    degrees = tuple(
-        tuple(int(a) for a in np.flatnonzero(row >= top - TIE_TOL)) for row, top in zip(net, values)
-    )
+    degrees = tuple(tuple(int(a) for a in np.flatnonzero(row)) for row in tied(net))
     best = float(values.max())
-    best_zones = tuple(int(z) for z in np.flatnonzero(values >= best - TIE_TOL))
+    best_zones = tuple(int(z) for z in np.flatnonzero(tied(values)))
     threshold = math.inf if alpha == 0.0 else (1.0 - alpha) / alpha * migration_cost
     leave = tuple(
         int(z)
@@ -129,7 +121,7 @@ def dominant_activation(
     if not 0 <= z < cfg.num_zones:
         raise ValidationError(f"zone {z} out of range for {cfg.num_zones} zones")
     net = cfg.benefit - cfg.activation_cost[int(s), z]
-    return tuple(int(a) for a in np.flatnonzero(net >= net.max() - TIE_TOL))
+    return tuple(int(a) for a in np.flatnonzero(tied(net)))
 
 
 def construct_equilibrium(
@@ -156,18 +148,14 @@ def construct_equilibrium(
     degree_mask = feasible_actions(p, infected_forced_home)[:, : p.a_max + 1]
     class_degrees, class_best_zones, class_leave = [], [], []
     for cls in BehaviorClass:
-        net = cfg.benefit[None, :] - cfg.activation_cost[_CLASS_STATE[cls]]  # (Z, a_max+1)
+        net = cfg.benefit[None, :] - cfg.activation_cost[STATE_OF_CLASS[cls]]  # (Z, a_max+1)
         net = np.where(degree_mask[cls], net, -np.inf)
         _, degrees, _, best_zones, leave, _ = _partition(net, p.alpha, cfg.migration_cost)
         class_degrees.append(degrees)
         class_best_zones.append(best_zones)
         class_leave.append(leave)
 
-    split = np.array(mass_split, dtype=float)
-    if split.shape != (NUM_STATES, p.num_zones):
-        raise ValidationError(
-            f"mass split must have shape (5, {p.num_zones}); got {split.shape}"
-        )
+    split = numeric_table("mass split", mass_split, (NUM_STATES, p.num_zones))
     for s in (InfectionState.A, InfectionState.I, InfectionState.U):
         if np.any(split[s] != 0.0):
             z = int(np.flatnonzero(split[s])[0])

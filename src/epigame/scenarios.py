@@ -181,14 +181,14 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     ld_doc = data["lockdown_degrees"]
     try:
-        lockdown = np.array([ld_doc[cls.name.lower()] for cls in BehaviorClass])
-    except (KeyError, TypeError, ValueError) as exc:
+        lockdown = [ld_doc[cls.name.lower()] for cls in BehaviorClass]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad lockdown_degrees table: {exc}") from exc
 
     init_doc = data["initial_dist"]
     try:
-        init = np.array([init_doc[s.name] for s in InfectionState])
-    except (KeyError, TypeError, ValueError) as exc:
+        init = [init_doc[s.name] for s in InfectionState]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad initial_dist table: {exc}") from exc
 
     benefit = data.get("benefit", "linear")

@@ -8,8 +8,9 @@ sequences as they stood before the one-pass tests were added, so every
 check must raise the same exception type and message as its oracle on
 valid inputs and on corrupted copies of them. The recorded differences are
 tightenings the oracles let through: ``EncounterProbs`` rejects NaN entries,
-both table containers reject fields of different lengths, and
-``EncounterProbs`` rejects fields that are not one-dimensional.
+both table containers reject fields of different lengths and entries that
+are bools or not numbers, and ``EncounterProbs`` rejects fields that are
+not one-dimensional.
 
 The day core no longer builds those two containers: ``survival_table``
 derives the activity masses and encounter probabilities from checked rows
@@ -249,6 +250,7 @@ def test_table_checks_match_the_per_field_sequence(kind):
     container, oracle, make, what = TABLES[kind]
     build = build_table(container)
     first = "total" if kind == "activity" else "no_partner"
+    names = (first, "asymptomatic", "symptomatic")
     rng = np.random.default_rng(1100 if kind == "activity" else 1101)
     for _ in range(CASES):
         table = make(rng)
@@ -272,6 +274,15 @@ def test_table_checks_match_the_per_field_sequence(kind):
             assert outcome(build, [table[0], table[1, :1], table[2]]) == (ValidationError, message)
             message = f"{what} asymptomatic has length {zones}; {first} has length 1"
             assert outcome(build, [table[0, :1], table[1], table[2]]) == (ValidationError, message)
+        # entries that are not numbers: tightened, numpy coerced bools and raised on strings
+        k, z = int(rng.integers(3)), int(rng.integers(zones))
+        for entry, kind_name in ((True, "bool"), ("x", "str")):
+            bad = [list(row) for row in table]
+            bad[k][z] = entry
+            message = f"{what} {names[k]} entries must be numbers; got {kind_name} entries"
+            assert outcome(build, bad) == (ValidationError, message)
+    message = f"{what} {first} entries must be numbers; got bool entries"
+    assert outcome(build, np.ones((3, 2), dtype=bool)) == (ValidationError, message)
     empty = np.empty((3, 0))
     assert outcome(build, empty) == outcome(oracle, *empty)
 

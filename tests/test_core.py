@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import epigame
 from epigame import (
     InfectionState,
     Policy,
@@ -18,6 +19,7 @@ from epigame.core import (
     CLASS_OF_STATE,
     HEALTHY_STATES,
     NUM_STATES,
+    STATE_OF_CLASS,
     BehaviorClass,
     action_degrees,
     action_targets,
@@ -155,6 +157,8 @@ def test_behavior_class_of_each_state():
         assert CLASS_OF_STATE[s] == BehaviorClass.HEALTHY
     assert CLASS_OF_STATE[InfectionState.I] == BehaviorClass.SYMPTOMATIC
     assert CLASS_OF_STATE[InfectionState.R] == BehaviorClass.RECOVERED
+    assert STATE_OF_CLASS.tolist() == [InfectionState.S, InfectionState.I, InfectionState.R]
+    assert CLASS_OF_STATE[STATE_OF_CLASS].tolist() == list(BehaviorClass)
 
 
 # --- distribution container -------------------------------------------------
@@ -266,3 +270,28 @@ def test_params_are_immutable():
     p = make_params()
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.alpha = 0.5
+
+
+# --- public API ------------------------------------------------------------------
+
+#: ``epigame.__all__`` as released; a simplification may not remove a public name.
+PUBLIC_API = [
+    "ActivityMasses", "BehaviorClass", "EncounterProbs", "EpidemicMetrics",
+    "EquilibriumReport", "FIG3_FAMILIES", "InfectionState", "ModelParams", "NumericsError",
+    "PRESET_NAMES", "Policy", "RewardConfig", "ScenarioConfig", "SimulationResult",
+    "SocialState", "StateDistribution", "Trajectory", "TransitionKernel", "ValidationError",
+    "ZoneClassification", "__version__", "activity_masses", "best_response",
+    "check_equilibrium", "classify_zones", "construct_equilibrium", "detect_second_wave",
+    "dominant_activation", "encounter_probs", "expected_reward", "feasible_actions",
+    "fig3_points", "immediate_reward", "infection_transition", "infection_waves",
+    "linear_benefit", "lockdown_cost", "logit_choice", "metrics", "policy_update", "preset",
+    "preset_description", "q_function", "scenario_from_dict", "simulate", "state_transition",
+    "step", "sweep", "transition_matrix", "uniform_no_move_policy", "validate_params",
+    "value_function",
+]
+
+
+def test_public_api_keeps_every_name():
+    assert sorted(epigame.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(epigame, name) is not None, name

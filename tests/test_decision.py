@@ -35,7 +35,7 @@ from epigame.core import (
     unflatten_action,
 )
 from epigame import decision
-from epigame.decision import TIE_TOL, class_q, day_terms
+from epigame.decision import TIE_TOL, DayPlan, check_healthy_q, healthy_blend
 from conftest import make_params, random_reward_config, random_social
 
 from test_rewards import zero_cost_config
@@ -101,9 +101,21 @@ def test_value_gate_fires_on_a_corrupted_solve(monkeypatch):
     rewards = expected_reward(social.policy, cfg)
     value_function(kernel, rewards, p)
     solve = np.linalg.solve
-    monkeypatch.setattr(decision.np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
-    with pytest.raises(NumericsError, match="residual"):
-        value_function(kernel, rewards, p)
+    for corrupt in (lambda x: x * (1.0 + 1e-6), lambda x: x * np.nan):
+        monkeypatch.setattr(decision.np.linalg, "solve", lambda a, b: corrupt(solve(a, b)))
+        with pytest.raises(NumericsError, match="residual"):
+            value_function(kernel, rewards, p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_value_function_rejects_non_finite_rewards(bad):
+    rng = np.random.default_rng(24)
+    p = make_params(num_zones=2, a_max=3, alpha=0.9)
+    social = random_social(rng, p)
+    rewards = expected_reward(social.policy, random_reward_config(rng, p))
+    rewards[InfectionState.A, 1] = bad
+    with pytest.raises(ValidationError, match="expected rewards contains non-finite"):
+        value_function(transition_matrix(social, p), rewards, p)
 
 
 # --- deviation values -----------------------------------------------------------
@@ -115,9 +127,10 @@ def test_day_terms_match_the_public_pieces():
         p = make_params(num_zones=num_zones, a_max=3)
         cfg = random_reward_config(rng, p)
         social = random_social(rng, p)
-        kernel, q = day_terms(social, cfg.table, p)
+        plan = DayPlan(cfg.table, p)
+        matrix, q = plan.terms(*plan.state_rewards(social.policy.class_rows), social.dist.d)
         expected_kernel, values = solved_value(social, cfg, p)
-        assert np.array_equal(kernel.matrix, expected_kernel.matrix)
+        assert np.array_equal(matrix, expected_kernel.matrix)
         assert np.array_equal(q, q_function(social, values, cfg, p))
 
 
@@ -237,7 +250,7 @@ def test_class_q_belief_blend_frozen_weights():
     q[InfectionState.R] = 7.0
     d = np.array([[0.2], [0.1], [0.2], [0.3], [0.1]])
     d = d / d.sum() * np.array([[0.2, 0.1, 0.2, 0.3, 0.1]]).T.sum()  # keep raw masses
-    out = class_q(q, d, mode="belief")
+    out = healthy_blend(q, d, mode="belief")
     # Healthy weights: S 0.2, A 0.1, U 0.1 -> 1/2, 1/4, 1/4 of the healthy mass.
     blended = 0.5 * 1.0 + 0.25 * 2.0 + 0.25 * 4.0
     assert out[BehaviorClass.HEALTHY, 0] == pytest.approx([blended, blended])
@@ -252,7 +265,7 @@ def test_class_q_belief_falls_back_when_zone_empty_of_healthy():
     d = np.zeros((NUM_STATES, 2))
     d[InfectionState.S, 0] = 0.5
     d[InfectionState.R, 1] = 0.5
-    out = class_q(q, d, mode="belief")
+    out = healthy_blend(q, d, mode="belief")
     assert np.array_equal(out[BehaviorClass.HEALTHY, 1], q[InfectionState.S, 1])
 
 
@@ -260,15 +273,17 @@ def test_class_q_assume_susceptible_ignores_distribution():
     rng = np.random.default_rng(25)
     q = rng.random((NUM_STATES, 2, 4))
     d = rng.random((NUM_STATES, 2))
-    out = class_q(q, d, mode="assume_susceptible")
+    out = healthy_blend(q, d, mode="assume_susceptible")
     assert np.array_equal(out[BehaviorClass.HEALTHY], q[InfectionState.S])
 
 
 def test_class_q_rejects_unknown_mode():
     q = np.zeros((NUM_STATES, 1, 2))
     d = np.full((NUM_STATES, 1), 0.2)
-    with pytest.raises(ValidationError):
-        class_q(q, d, mode="optimistic")
+    with pytest.raises(ValidationError, match="healthy_q"):
+        check_healthy_q("optimistic")
+    with pytest.raises(ValidationError, match="healthy_q"):
+        logit_choice(q, d, make_params(num_zones=1, a_max=1), healthy_q="optimistic")
 
 
 # --- logit choice -----------------------------------------------------------------

@@ -148,9 +148,10 @@ def test_simulate_is_chained_step(scenario):
 
 def test_simulate_fires_the_value_residual_gate(monkeypatch):
     solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
-    with pytest.raises(NumericsError, match="residual"):
-        simulate(preset("fig4_migration"))
+    for corrupt in (lambda x: x * (1.0 + 1e-6), lambda x: x * np.nan):
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: corrupt(solve(a, b)))
+        with pytest.raises(NumericsError, match="residual"):
+            simulate(preset("fig4_migration"))
 
 
 def test_simulate_fires_the_kernel_stochasticity_gate(monkeypatch):

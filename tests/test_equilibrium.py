@@ -179,6 +179,18 @@ def test_construct_rejects_mass_in_zones_worth_leaving():
         construct_equilibrium(cfg, p, split)
 
 
+def test_construct_rejects_split_entries_that_are_not_numbers():
+    cfg = two_zone_config()
+    p = two_zone_params()
+    split = np.zeros((NUM_STATES, 2)).tolist()
+    split[InfectionState.S][0] = True
+    with pytest.raises(ValidationError, match="mass split entries must be numbers; got bool"):
+        construct_equilibrium(cfg, p, split)
+    split[InfectionState.S][0] = "1.0"
+    with pytest.raises(ValidationError, match="mass split entries must be numbers; got str"):
+        construct_equilibrium(cfg, p, split)
+
+
 def test_constructed_symptomatic_row_stays_home_when_confined():
     cfg = two_zone_config()
     p = two_zone_params()
