@@ -30,7 +30,6 @@ metadata lives only in summary.json.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import json
 import os
@@ -308,6 +307,8 @@ def cmd_sweep(args) -> int:
     if jobs == 1:
         outcomes = [_run_point(pt) for pt in points]
     else:
+        import concurrent.futures  # only a parallel sweep pays for this import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_point, points))
 

@@ -359,10 +359,15 @@ class SocialState:
             )
 
 
-def uniform_no_move_policy(p: ModelParams) -> Policy:
-    """Uniform over activation degrees, all mass on staying in the own zone."""
+def no_move_rows(p: ModelParams) -> np.ndarray:
+    """Class rows (3, Z, J) uniform over activation degrees, all mass on the own zone."""
     zones, width = p.num_zones, p.a_max + 1
     rows = np.zeros((NUM_CLASSES, zones, width * zones))
     for z in range(zones):
         rows[:, z, width * z : width * (z + 1)] = 1.0 / width
-    return Policy(rows, p.a_max)
+    return rows
+
+
+def uniform_no_move_policy(p: ModelParams) -> Policy:
+    """Uniform over activation degrees, all mass on staying in the own zone."""
+    return Policy(no_move_rows(p), p.a_max)

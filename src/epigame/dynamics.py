@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .core import (
-    NUM_STATES,
+    CLASS_OF_STATE,
     InfectionState,
     ModelParams,
     Policy,
@@ -27,7 +27,7 @@ from .core import (
     ValidationError,
     is_real,
 )
-from .decision import DayPlan, blend
+from .decision import DayPlan, DayRows, blend
 from .epidemic import propagate_mass
 from .rewards import RewardConfig
 from .scenarios import ScenarioConfig
@@ -199,22 +199,20 @@ class SimulationResult:
 
 
 def _observe(
-    plan: DayPlan, social: SocialState, rows: np.ndarray, rewards: np.ndarray
+    social: SocialState, rows: DayRows, rewards: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Distribution (5, Z), mean activation (3, Z), flows (Z, Z) and welfare of one day.
 
     ``rows`` and ``rewards`` are the day's :meth:`DayPlan.state_rewards`.
     """
-    p = plan.params
     d = social.dist.d
     welfare = float(np.sum(d * rewards))
-    by_target = rows.reshape(NUM_STATES, p.num_zones, p.num_zones, p.a_max + 1)
-    flow = np.einsum("sz,sztd->zt", d, by_target)
-    return d, social.policy.class_rows @ plan.degrees, flow, welfare
+    flow = np.einsum("sz,szt->zt", d, rows.moves.take(CLASS_OF_STATE, axis=0))
+    return d, rows.mean_degree, flow, welfare
 
 
 def _advance(
-    plan: DayPlan, social: SocialState, rows: np.ndarray, rewards: np.ndarray
+    plan: DayPlan, social: SocialState, rows: DayRows, rewards: np.ndarray
 ) -> SocialState:
     """The day update on plain arrays; only tomorrow's state objects are built.
 
@@ -243,8 +241,8 @@ def step(
 
 def _days(
     scenario: ScenarioConfig,
-) -> Iterator[tuple[DayPlan, SocialState, np.ndarray, np.ndarray]]:
-    """The run's days, unbounded: plan, social state, state rows and expected rewards.
+) -> Iterator[tuple[DayPlan, SocialState, DayRows, np.ndarray]]:
+    """The run's days, unbounded: plan, social state, day rows and expected rewards.
 
     The next day is built only when the caller asks for it, from the rows
     and rewards already handed out.
@@ -276,7 +274,7 @@ def simulate(scenario: ScenarioConfig) -> SimulationResult:
     observed = []
     previous = None
     for day, (plan, social, rows, rewards) in enumerate(_days(scenario)):
-        observed.append(_observe(plan, social, rows, rewards))
+        observed.append(_observe(social, rows, rewards))
         if day >= scenario.horizon:
             stop_reason = "horizon"
             break

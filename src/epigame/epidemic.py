@@ -15,8 +15,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import (
+    CLASS_OF_STATE,
     NUM_STATES,
     PROB_TOL,
+    BehaviorClass,
     InfectionState,
     ModelParams,
     NumericsError,
@@ -125,9 +127,30 @@ def propagate_mass(d: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return unflatten_state_table(flatten_state_table(d) @ matrix, d.shape[1])
 
 
-def activity_arrays(rows: np.ndarray, d: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Total, asymptomatic and symptomatic activity (3, Z) of state rows (5, Z, J) on ``d``."""
-    mean_deg = rows @ degrees  # (5, Z)
+def class_marginals(class_rows: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Migration marginal (3, Z, Z') and mean degree (3, Z) of class rows (3, Z, J).
+
+    The flat action axis splits into (target zone, degree), and ``degrees``
+    is the activation degree of each flat action. A day computes both once;
+    the kernel, the survival table and the observed flows read them.
+    """
+    classes, zones, actions = class_rows.shape
+    width = actions // zones
+    # A product with ones sums the short degree axis far faster than a reduction.
+    moves = (class_rows.reshape(-1, width) @ np.ones(width)).reshape(classes, zones, zones)
+    return moves, class_rows @ degrees
+
+
+def policy_marginals(social: SocialState, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`class_marginals` of the social state's policy."""
+    return class_marginals(
+        social.policy.class_rows, action_degrees(p.a_max, p.num_zones).astype(float)
+    )
+
+
+def activity_arrays(mean_degree: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Total, asymptomatic and symptomatic activity (3, Z) of class mean degrees (3, Z) on ``d``."""
+    mean_deg = mean_degree.take(CLASS_OF_STATE, axis=0)  # (5, Z)
     out = np.empty((3, d.shape[1]))
     np.einsum("sz,sz->z", d, mean_deg, out=out[0])
     np.multiply(d[InfectionState.A], mean_deg[InfectionState.A], out=out[1])
@@ -147,8 +170,8 @@ def encounter_arrays(total, asymptomatic, symptomatic, epsilon: float) -> np.nda
 
 def activity_masses(social: SocialState, p: ModelParams) -> ActivityMasses:
     """Expected activation mass per zone under the current policy."""
-    deg = action_degrees(p.a_max, p.num_zones)
-    return ActivityMasses(*activity_arrays(social.policy.state_rows(), social.dist.d, deg))
+    _, mean_degree = policy_marginals(social, p)
+    return ActivityMasses(*activity_arrays(mean_degree, social.dist.d))
 
 
 def encounter_probs(masses: ActivityMasses, p: ModelParams) -> EncounterProbs:
@@ -198,27 +221,27 @@ def infection_transition(
 
 
 def survival_table(
-    rows: np.ndarray, d: np.ndarray, degrees: np.ndarray, powers: np.ndarray, p: ModelParams
+    mean_degree: np.ndarray, d: np.ndarray, powers: np.ndarray, p: ModelParams
 ) -> np.ndarray:
     """Chance (Z, a_max+1) that a susceptible agent stays S through ``powers`` contacts.
 
-    ``rows`` (5, Z, J) act on the distribution table ``d`` (5, Z);
-    ``degrees`` is the activation degree of each flat action. The activity
-    masses and encounter probabilities are not checked: when the rows are
-    stochastic, ``d`` is a distribution, the degrees lie in 0..a_max and
-    ``epsilon > 0``, they pass the checks of :class:`ActivityMasses` and
-    :class:`EncounterProbs` by construction.
+    ``mean_degree`` (3, Z) is each class's expected degree, from
+    :func:`class_marginals`, and ``d`` the distribution table (5, Z). The
+    activity masses and encounter probabilities are not checked: when the
+    class rows are stochastic, ``d`` is a distribution, the degrees lie in
+    0..a_max and ``epsilon > 0``, they pass the checks of
+    :class:`ActivityMasses` and :class:`EncounterProbs` by construction.
     """
-    probs = encounter_arrays(*activity_arrays(rows, d, degrees), p.epsilon)
+    probs = encounter_arrays(*activity_arrays(mean_degree, d), p.epsilon)
     pressure = p.beta_A * probs[1] + p.beta_I * probs[2]  # (Z,)
-    base = np.clip(1.0 - pressure, 0.0, 1.0)
+    base = np.maximum(1.0 - pressure, 0.0)  # pressure >= 0, so base <= 1
     return base[:, None] ** powers[None, :]
 
 
 def survival(social: SocialState, p: ModelParams) -> np.ndarray:
     """Chance (Z, a_max+1) that a susceptible agent stays S through ``degree`` contacts."""
-    deg = action_degrees(p.a_max, p.num_zones)
-    return survival_table(social.policy.state_rows(), social.dist.d, deg, np.arange(p.a_max + 1), p)
+    _, mean_degree = policy_marginals(social, p)
+    return survival_table(mean_degree, social.dist.d, np.arange(p.a_max + 1), p)
 
 
 def state_transition(
@@ -243,27 +266,35 @@ def state_transition(
 
 
 def assemble_kernel(
-    rows: np.ndarray, stay: np.ndarray, law: np.ndarray, p: ModelParams
+    healthy: np.ndarray, moves: np.ndarray, stay: np.ndarray, law: np.ndarray, p: ModelParams
 ) -> np.ndarray:
-    """Flat kernel matrix (5Z, 5Z) of state rows (5, Z, J) under the survival table ``stay``.
+    """Flat kernel matrix (5Z, 5Z) of a day's class marginal ``moves`` (3, Z, Z').
 
-    The flat action axis splits into (target zone, degree). States other
-    than S progress by ``law``, the :func:`idle_law`, wherever the class
-    moves; the susceptible mass an action sends to its target splits on
-    ``stay`` (Z, a_max+1).
+    Every state but S progresses by ``law``, the :func:`idle_law`, and moves
+    as its class does. The susceptible mass that the healthy rows
+    ``healthy`` (Z, J) send to a target stays S with the survival chance
+    ``stay`` (Z, a_max+1) of the degree taken and turns A otherwise; both
+    are sums of nonnegative terms.
     """
     zones, width = p.num_zones, p.a_max + 1
     S, A = InfectionState.S, InfectionState.A
-    by_target = rows.reshape(NUM_STATES, zones, zones, width)
-    moves = by_target.sum(axis=3)  # (5, Z, Z') migration marginal
-    joint = law[:, None, :, None] * moves[:, :, None, :]  # (5, Z, 5, Z')
-    kept = by_target[S] * stay[:, None, :]  # (Z, Z', a_max+1)
-    joint[S, :, S] = kept.sum(axis=2)
-    joint[S, :, A] = (by_target[S] - kept).sum(axis=2)
-    return joint.transpose(1, 0, 3, 2).reshape(p.num_flat_states, p.num_flat_states)
+    kernel = np.empty((zones, NUM_STATES, zones, NUM_STATES))  # (z, s) -> (z', s')
+    # Written with the target zone innermost; the next-state axis is only 5 long.
+    np.multiply(
+        law[:, :, None],
+        moves.take(CLASS_OF_STATE, axis=0).transpose(1, 0, 2)[:, :, None, :],
+        out=kernel.transpose(0, 1, 3, 2),
+        order="C",
+    )
+    by_target = healthy.reshape(zones, zones, width)
+    np.matmul(by_target, stay[:, :, None], out=kernel[:, S, :, S, None])
+    np.matmul(by_target, (1.0 - stay)[:, :, None], out=kernel[:, S, :, A, None])
+    return kernel.reshape(p.num_flat_states, p.num_flat_states)
 
 
 def transition_matrix(social: SocialState, p: ModelParams) -> TransitionKernel:
     """Policy-averaged one-day kernel of the population."""
-    matrix = assemble_kernel(social.policy.state_rows(), survival(social, p), idle_law(p), p)
-    return TransitionKernel(matrix, p.num_zones)
+    moves, mean_degree = policy_marginals(social, p)
+    stay = survival_table(mean_degree, social.dist.d, np.arange(p.a_max + 1), p)
+    healthy = social.policy.class_rows[BehaviorClass.HEALTHY]
+    return TransitionKernel(assemble_kernel(healthy, moves, stay, idle_law(p), p), p.num_zones)

@@ -205,11 +205,11 @@ def check_equilibrium(
         raise ValidationError(f"tol must be a finite positive number; got {tol!r}")
     plan = DayPlan(cfg.table, p, infected_forced_home=infected_forced_home)
     d = social.dist.d
-    rows, rewards = plan.state_rewards(social.policy.class_rows)  # rows: (5, Z, J)
+    rows, rewards = plan.state_rewards(social.policy.class_rows)
     matrix, q = plan.terms(rows, rewards, d)
 
-    averaged = np.einsum("szj,szj->sz", rows, q)
-    allowed = plan.feasible[CLASS_OF_STATE] | (rows > 0.0)  # (5, 1, J) | (5, Z, J)
+    averaged = np.einsum("szj,szj->sz", rows.states, q)
+    allowed = plan.feasible[CLASS_OF_STATE] | (rows.states > 0.0)  # (5, 1, J) | (5, Z, J)
     best = np.where(allowed, q, -np.inf).max(axis=2)
     gaps = best - averaged
 

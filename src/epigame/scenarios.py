@@ -27,8 +27,8 @@ from .core import (
     ValidationError,
     is_integer,
     is_real,
+    no_move_rows,
     numeric_table,
-    uniform_no_move_policy,
 )
 from .decision import check_healthy_q, feasible_actions
 from .rewards import RewardConfig, linear_benefit, lockdown_cost
@@ -111,14 +111,12 @@ class ScenarioConfig:
         degree 0 so every policy the scenario produces respects the support
         restriction, including the initial one.
         """
-        policy = uniform_no_move_policy(self.params)
+        rows = no_move_rows(self.params)
         if self.infected_forced_home:
-            rows = np.array(policy.class_rows)
             keep = feasible_actions(self.params)[BehaviorClass.SYMPTOMATIC]
             srow = rows[BehaviorClass.SYMPTOMATIC] * keep
             rows[BehaviorClass.SYMPTOMATIC] = srow / srow.sum(axis=-1, keepdims=True)
-            policy = Policy(rows, self.params.a_max)
-        return SocialState(policy, self._initial_dist)
+        return SocialState(Policy(rows, self.params.a_max), self._initial_dist)
 
     def to_dict(self) -> dict:
         """The scenario as JSON-ready data; numpy scalars become Python scalars."""

@@ -31,6 +31,7 @@ from epigame import (
     ValidationError,
 )
 from epigame.core import (
+    CLASS_OF_STATE,
     NUM_CLASSES,
     NUM_STATES,
     PROB_TOL,
@@ -38,7 +39,7 @@ from epigame.core import (
     action_degrees,
     policy_rows,
 )
-from epigame.epidemic import activity_arrays, check_kernel, encounter_arrays
+from epigame.epidemic import activity_arrays, check_kernel, class_marginals, encounter_arrays
 
 CASES = 1000
 
@@ -380,7 +381,7 @@ def test_containers_store_a_read_only_array_of_their_own(build, stored, given):
 
 
 def random_day_inputs(rng, a_max=None):
-    """State rows, distribution table, degrees and ``epsilon`` of a random checked social state.
+    """Class rows, distribution table, degrees and ``epsilon`` of a random checked social state.
 
     Rows and distribution go through ``Policy`` and ``StateDistribution``;
     some rows are pure actions, some entries zero, and ``epsilon`` spans
@@ -397,12 +398,13 @@ def random_day_inputs(rng, a_max=None):
     d[rng.integers(NUM_STATES), rng.integers(zones)] += rng.random() + 1e-3
     policy = Policy(rows / rows.sum(axis=-1, keepdims=True), a_max)
     dist = StateDistribution(d / d.sum())
-    return policy.state_rows(), dist.d, action_degrees(a_max, zones), 10.0 ** rng.uniform(-12, 1)
+    return policy.class_rows, dist.d, action_degrees(a_max, zones), 10.0 ** rng.uniform(-12, 1)
 
 
 def derived_violations(rows, d, degrees, epsilon):
     """The container conditions that the day core's derived values break."""
-    masses = activity_arrays(rows, d, degrees)
+    _, mean_degree = class_marginals(rows, degrees)
+    masses = activity_arrays(mean_degree, d)
     probs = encounter_arrays(*masses, epsilon)
     broken = []
     if not (np.isfinite(masses).all() and (masses >= 0.0).all()):
@@ -430,8 +432,9 @@ def test_derived_value_invariants_catch_inputs_past_the_container_checks():
     for _ in range(CASES):
         rows, d, degrees, epsilon = random_day_inputs(rng, a_max=int(rng.integers(1, 7)))
         s, z = infectious[rng.integers(2)], int(rng.integers(d.shape[1]))
+        c = CLASS_OF_STATE[s]
         rows = rows.copy()
-        rows[s, z] = 1.0 / rows.shape[2]  # positive mean degree
+        rows[c, z] = 1.0 / rows.shape[2]  # positive mean degree
         d = d.copy()
         d[s, z] += 0.1
         d /= d.sum()
@@ -445,7 +448,7 @@ def test_derived_value_invariants_catch_inputs_past_the_container_checks():
         # a negative weight on the top degree, its row keeping its sum
         bad = rows.copy()
         top, idle = int(np.argmax(degrees)), int(np.argmin(degrees))
-        shift = bad[s, z, top] + rng.uniform(1.0, 2.0)
-        bad[s, z, top] -= shift
-        bad[s, z, idle] += shift
+        shift = bad[c, z, top] + rng.uniform(1.0, 2.0)
+        bad[c, z, top] -= shift
+        bad[c, z, idle] += shift
         assert derived_violations(bad, d, degrees, epsilon)

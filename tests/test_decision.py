@@ -134,6 +134,15 @@ def test_day_terms_match_the_public_pieces():
         assert np.array_equal(q, q_function(social, values, cfg, p))
 
 
+def test_the_days_mean_degree_is_the_policys():
+    rng = np.random.default_rng(27)
+    for num_zones, a_max in ((1, 0), (1, 6), (2, 3), (6, 8), (40, 6)):
+        p = make_params(num_zones=num_zones, a_max=a_max)
+        policy = random_social(rng, p).policy
+        rows, _ = DayPlan(random_reward_config(rng, p).table, p).state_rewards(policy.class_rows)
+        assert np.array_equal(rows.mean_degree, policy.mean_degrees())
+
+
 @pytest.mark.parametrize("num_zones, a_max", [(1, 0), (1, 4), (2, 3), (3, 2)])
 def test_q_matches_brute_force_lookahead(num_zones, a_max):
     rng = np.random.default_rng(26)

@@ -39,10 +39,11 @@ from epigame.core import (
     flatten_action,
     unflatten_action,
 )
-from epigame import decision, epidemic
+from epigame import Policy, decision, dynamics, epidemic
 from epigame.rewards import immediate_reward
 from epigame.dynamics import WAVE_PROMINENCE, StepRecord
-from conftest import make_params, random_social
+from conftest import make_params, random_reward_config, random_social
+from test_checks import random_day_inputs
 from test_equilibrium import two_zone_config, two_zone_params
 from test_scenarios import frozen_scenario
 
@@ -267,6 +268,40 @@ def test_three_zone_flow_and_welfare_match_loops_over_actions():
         assert np.max(np.abs(rec.migration_flow - flow)) < 1e-15
         assert rec.welfare == pytest.approx(welfare, abs=1e-12)
     assert records[-1].migration_flow[0, 1] > 0.0  # off-diagonal flows are exercised
+
+
+def test_observed_flows_and_activation_match_loops_over_actions():
+    """Over random checked social states, some rows pure and some entries zero.
+
+    Flows are masses of at most 1; the activation is a degree of up to
+    ``a_max``, so its bound scales with its size.
+    """
+    rng = np.random.default_rng(1300)
+    for _ in range(200):
+        a_max = int(rng.integers(0, 9))
+        class_rows, d, degrees, _ = random_day_inputs(rng, a_max)
+        zones = d.shape[1]
+        p = make_params(num_zones=zones, a_max=a_max)
+        social = SocialState(Policy(class_rows, a_max), StateDistribution(d))
+        plan = decision.DayPlan(random_reward_config(rng, p).table, p)
+        rows, rewards = plan.state_rewards(social.policy.class_rows)
+        _, activation, flow, _ = dynamics._observe(social, rows, rewards)
+        state_rows = social.policy.state_rows()
+        expected_flow = np.zeros((zones, zones))
+        for s in range(NUM_STATES):
+            for z in range(zones):
+                for j in range(p.num_actions):
+                    _, target = unflatten_action(j, a_max, zones)
+                    expected_flow[z, target] += d[s, z] * state_rows[s, z, j]
+        expected_activation = np.zeros((NUM_CLASSES, zones))
+        for c in range(NUM_CLASSES):
+            for z in range(zones):
+                for j in range(p.num_actions):
+                    a, _ = unflatten_action(j, a_max, zones)
+                    expected_activation[c, z] += a * class_rows[c, z, j]
+        assert np.max(np.abs(flow - expected_flow)) <= 1e-15
+        scale = np.maximum(1.0, expected_activation)
+        assert np.max(np.abs(activation - expected_activation) / scale) <= 1e-15
 
 
 def test_step_and_checker_reject_a_reward_config_of_other_dimensions():

@@ -299,8 +299,10 @@ def brute_force_kernel(social, p):
 
 
 def test_transition_matrix_matches_brute_force():
+    """The last shapes: a single degree, a degree width past numpy's 8-element
+    pairwise block, and six zones."""
     rng = np.random.default_rng(5)
-    for num_zones, a_max in ((1, 4), (2, 3), (3, 2), (4, 2)):
+    for num_zones, a_max in ((1, 4), (2, 3), (3, 2), (4, 2), (1, 0), (3, 8), (6, 1)):
         p = make_params(num_zones=num_zones, a_max=a_max)
         social = random_social(rng, p)
         kernel = transition_matrix(social, p)

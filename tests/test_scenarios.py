@@ -19,6 +19,7 @@ from epigame import (
     preset_description,
     scenario_from_dict,
     sweep,
+    uniform_no_move_policy,
 )
 from epigame.core import BehaviorClass, action_degrees
 from epigame.scenarios import (
@@ -190,11 +191,16 @@ def test_scenario_keeps_the_tables_it_validated():
 
 
 def test_initial_social_confines_the_symptomatic():
-    social = frozen_scenario().initial_social()
+    cfg = frozen_scenario()
+    social = cfg.initial_social()
     sympt = social.policy.class_rows[BehaviorClass.SYMPTOMATIC, 0]
     assert sympt.tolist() == [1.0] + [0.0] * 6
     healthy = social.policy.class_rows[BehaviorClass.HEALTHY, 0]
     assert healthy.min() == healthy.max()
+    # the other rows are the stay-home policy's, normalised once
+    unconfined = uniform_no_move_policy(cfg.params).class_rows
+    for cls in (BehaviorClass.HEALTHY, BehaviorClass.RECOVERED):
+        assert np.array_equal(social.policy.class_rows[cls], unconfined[cls])
 
 
 def test_initial_social_uniform_when_not_confined():
