@@ -92,6 +92,13 @@ class ScenarioConfig:
             migration_cost=self.params.migration_cost,
             illness_cost=self.params.illness_cost,
         )
+        # max|table| / (1 - alpha) bounds |V| and scales the value-residual gate.
+        if not np.abs(rewards.table).max() <= (1.0 - self.params.alpha) * np.finfo(float).max:
+            raise ValidationError(
+                "alpha and the reward fields (benefit, lockdown_degrees, lockdown_multiplier, "
+                "migration_cost, illness_cost) give a value bound max|reward| / (1 - alpha) "
+                "that is not finite"
+            )
         object.__setattr__(self, "_rewards", rewards)
         ld = ld.astype(int)  # lockdown_cost has checked the entries are integers
         ld.setflags(write=False)

@@ -1,14 +1,23 @@
-"""End-to-end command-line runs, exercised in process via main(argv)."""
+"""End-to-end command-line runs, exercised in process via main(argv).
+
+The BLAS thread-count test runs the command in child processes, whose
+environment it sets.
+"""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epigame
 from epigame import preset, scenario_from_dict, simulate
 from epigame.cli import main, render_timeseries, summary_payload, timeseries_header
-from test_dynamics import seeded_three_zone_scenario
+from test_dynamics import seeded_scenario
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -94,7 +103,7 @@ def per_cell_timeseries(result):
 
 
 def three_zone_scenario():
-    return replace(seeded_three_zone_scenario(54, "belief", True), horizon=40)
+    return replace(seeded_scenario(54, "belief", True), horizon=40)
 
 
 def csv_lines(text):
@@ -182,6 +191,33 @@ def test_simulate_rejects_malformed_values(tmp_path, capsys, section, key, value
     (doc[section] if section else doc)[key] = value
     assert run_document(tmp_path, doc) == 1
     assert field in capsys.readouterr().err
+
+
+def test_simulate_rejects_an_infinite_value_bound(tmp_path, capsys):
+    # The reward table is finite, but max|table| / (1 - alpha) overflows.
+    doc = replace(preset("fig4_migration"), horizon=3).to_dict()
+    doc["params"]["illness_cost"] = 1e308
+    assert run_document(tmp_path, doc) == 1
+    err = capsys.readouterr().err
+    assert "alpha" in err and "illness_cost" in err
+
+
+def test_simulate_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # At 40 zones the day core solves 40 x 40 blocks, whose LAPACK solves give
+    # the same bits at 1 and 2 threads; one dense 200 x 200 solve did not.
+    cfg_path = write_config(tmp_path, seeded_scenario(57, "belief", True, num_zones=40))
+    src = Path(epigame.__file__).resolve().parents[1]
+    run = "import sys; from epigame.cli import main; sys.exit(main(sys.argv[1:]))"
+    series = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        subprocess.run(
+            [sys.executable, "-c", run, "simulate", "--config", str(cfg_path), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        series.append((out / "timeseries.csv").read_bytes())
+    assert series[0] == series[1]
 
 
 REAL_BAD = ["0.9", True, None, [0.5], {"v": 1}, float("inf"), float("nan")]

@@ -105,13 +105,15 @@ def test_step_is_a_fixed_point_at_a_constructed_equilibrium():
     assert np.max(np.abs(nxt.policy.class_rows - social.policy.class_rows)) < 1e-8
 
 
-def seeded_three_zone_scenario(seed, healthy_q, infected_forced_home):
+def seeded_scenario(seed, healthy_q, infected_forced_home, num_zones=3):
     rng = np.random.default_rng(seed)
-    init = rng.random((NUM_STATES, 3)) + 0.01
-    healthy = rng.integers(0, 4, 3)
+    init = rng.random((NUM_STATES, num_zones)) + 0.01
+    healthy = rng.integers(0, 4, num_zones)
     lockdown = np.array([healthy, rng.integers(0, healthy + 1), rng.integers(healthy, 4)])
     return frozen_scenario(
-        params=make_params(num_zones=3, a_max=3, rationality=float(rng.uniform(1.0, 30.0))),
+        params=make_params(
+            num_zones=num_zones, a_max=3, rationality=float(rng.uniform(1.0, 30.0))
+        ),
         lockdown_degrees=lockdown,
         initial_dist=init / init.sum(),
         horizon=15,
@@ -124,10 +126,10 @@ def seeded_three_zone_scenario(seed, healthy_q, infected_forced_home):
     "scenario",
     [
         replace(preset("fig4_migration"), horizon=40),
-        seeded_three_zone_scenario(50, "belief", True),
-        seeded_three_zone_scenario(51, "belief", False),
-        seeded_three_zone_scenario(52, "assume_susceptible", True),
-        seeded_three_zone_scenario(53, "assume_susceptible", False),
+        seeded_scenario(50, "belief", True),
+        seeded_scenario(51, "belief", False),
+        seeded_scenario(52, "assume_susceptible", True),
+        seeded_scenario(53, "assume_susceptible", False),
     ],
     ids=["fig4", "belief-home", "belief-free", "susceptible-home", "susceptible-free"],
 )
@@ -149,10 +151,13 @@ def test_simulate_is_chained_step(scenario):
 
 def test_simulate_fires_the_value_residual_gate(monkeypatch):
     solve = np.linalg.solve
-    for corrupt in (lambda x: x * (1.0 + 1e-6), lambda x: x * np.nan):
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: corrupt(solve(a, b)))
-        with pytest.raises(NumericsError, match="residual"):
-            simulate(preset("fig4_migration"))
+    # One scenario on each side of BLOCK_SOLVE_MIN_ZONES: the dense and the block solve.
+    scenarios = (preset("fig4_migration"), seeded_scenario(56, "belief", True, num_zones=20))
+    for scenario in scenarios:
+        for corrupt in (lambda x: x * (1.0 + 1e-6), lambda x: x * np.nan):
+            monkeypatch.setattr(np.linalg, "solve", lambda a, b: corrupt(solve(a, b)))
+            with pytest.raises(NumericsError, match="residual"):
+                simulate(scenario)
 
 
 def test_simulate_fires_the_kernel_stochasticity_gate(monkeypatch):
@@ -357,7 +362,7 @@ def held_array_shapes(obj, seen=None):
 
 
 def test_a_run_keeps_columns_only_until_its_records_are_read():
-    scenario = seeded_three_zone_scenario(55, "belief", True)
+    scenario = seeded_scenario(55, "belief", True)
     p = scenario.params
     policy_shape = (NUM_CLASSES, p.num_zones, p.num_actions)
     result = simulate(scenario)
@@ -373,7 +378,7 @@ def test_a_run_keeps_columns_only_until_its_records_are_read():
     [
         *(replace(preset(name), horizon=40)
           for name in ("fig2a", "fig2b", "fig2c", "fig4_migration")),
-        seeded_three_zone_scenario(54, "belief", True),
+        seeded_scenario(54, "belief", True),
     ],
     ids=["fig2a", "fig2b", "fig2c", "fig4", "three-zone"],
 )
