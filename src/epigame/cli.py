@@ -68,6 +68,8 @@ from .scenarios import (
 )
 
 SOCIAL_STATE_FORMAT = "epigame-social-state"
+SOCIAL_STATE_VERSION = 1
+SOCIAL_STATE_KEYS = {"format", "version", "num_zones", "a_max", "dist", "policy_class_rows"}
 
 
 # --- atomic file helpers ----------------------------------------------------
@@ -153,7 +155,7 @@ def write_run_artifacts(result: SimulationResult, out_dir: Path, wall_clock: flo
 def write_social_state(social: SocialState, path: Path) -> None:
     doc = {
         "format": SOCIAL_STATE_FORMAT,
-        "version": 1,
+        "version": SOCIAL_STATE_VERSION,
         "num_zones": social.dist.num_zones,
         "a_max": social.policy.a_max,
         "dist": [[float(x) for x in row] for row in social.dist.d],
@@ -178,6 +180,14 @@ def read_social_state(path: Path, *, num_zones: int, a_max: int) -> SocialState:
     doc = _read_json(path, "social state file")
     if not isinstance(doc, dict) or doc.get("format") != SOCIAL_STATE_FORMAT:
         raise ValidationError(f"{path} is not a social-state file")
+    unknown = set(doc) - SOCIAL_STATE_KEYS
+    if unknown:
+        raise ValidationError(f"unknown social state keys in {path}: {sorted(unknown)}")
+    version = doc.get("version")
+    if not (is_integer(version) and version == SOCIAL_STATE_VERSION):
+        raise ValidationError(
+            f"social state version must be {SOCIAL_STATE_VERSION}; got {version!r}"
+        )
     dims = (doc.get("num_zones"), doc.get("a_max"))
     if not all(map(is_integer, dims)) or dims != (num_zones, a_max):
         raise ValidationError(
@@ -466,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--split",
         required=True,
         metavar="S:0=0.9,R:1=0.1",
-        help="population mass per (state, zone); states by letter, zones by index",
+        help="population mass per (state, zone); states by letter, zones by index; "
+        "repeated entries for one (state, zone) add up",
     )
     p.add_argument("--out", help="output file (default <scenario>-equilibrium.json)")
     p.set_defaults(func=cmd_construct_equilibrium)

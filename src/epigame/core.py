@@ -210,7 +210,7 @@ def unflatten_action(index: int, a_max: int, num_zones: int) -> tuple[int, int]:
 
 def action_degrees(a_max: int, num_zones: int) -> np.ndarray:
     """Activation degree of each flat action index."""
-    return np.tile(np.arange(a_max + 1), num_zones)
+    return np.arange(num_zones * (a_max + 1)) % (a_max + 1)
 
 
 def action_targets(a_max: int, num_zones: int) -> np.ndarray:

@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    CLASS_OF_STATE,
     HEALTHY_STATES,
     NUM_CLASSES,
     NUM_STATES,
@@ -41,7 +40,7 @@ from .epidemic import (
     survival,
     survival_table,
 )
-from .rewards import RewardConfig
+from .rewards import RewardConfig, class_expected_rewards, class_reward_table
 
 # Q values closer than this are treated as tied when picking best responses.
 TIE_TOL = 1e-9
@@ -66,6 +65,10 @@ BELIEF_FLOOR = 1e-12
 BLOCK_SOLVE_MIN_ZONES = 20
 
 HEALTHY_Q_MODES = ("belief", "assume_susceptible")
+
+# The infection states as plain ints, for the day core: unpacking the
+# IntEnum itself costs microseconds.
+STATE_INDEX = tuple(int(s) for s in InfectionState)
 
 
 def value_function(
@@ -103,7 +106,7 @@ def solve_values_by_state(matrix: np.ndarray, rewards: np.ndarray, alpha: float)
     the residual gate runs on the full system.
     """
     zones = rewards.shape[1]
-    S, A, I, R, U = InfectionState
+    S, A, I, R, U = STATE_INDEX
     # block[s, t] is the (Z, Z') block of moves from state s to state t.
     block = matrix.reshape(zones, NUM_STATES, zones, NUM_STATES).transpose(1, 3, 0, 2)
     flat = np.empty((zones, NUM_STATES))
@@ -159,6 +162,46 @@ def lookahead_q(
     return q
 
 
+def class_q(
+    stay: np.ndarray,
+    values: np.ndarray,
+    class_table: np.ndarray,
+    law: np.ndarray,
+    weights: np.ndarray | None,
+    alpha: float,
+) -> np.ndarray:
+    """Q values (3, Z, J) per behavior class, built without per-state rows.
+
+    ``class_table`` (3, Z, J) is the reward table of each class's
+    :data:`~epigame.core.STATE_OF_CLASS`. The I and R rows are
+    ``table + alpha * (law @ values)`` at the target zone, as in
+    :func:`lookahead_q`. With ``weights`` None (``assume_susceptible``) the
+    healthy row is the susceptible row of :func:`lookahead_q`. Otherwise
+    ``weights`` are the :func:`belief_weights` (w_S, w_A, w_U) and the
+    healthy row is their blend of the S, A and U rows, which share one
+    reward table: ``table + alpha * (base[z, t] + w_S[z] * stay[z, a] *
+    (V_S - V_A)[t])`` with ``base = w_S V_A + w_A (law @ V)_A + w_U (law @ V)_U``.
+    """
+    zones, width = stay.shape
+    S, A, I, R, U = STATE_INDEX
+    lv = law @ values
+    q = np.empty((NUM_CLASSES, zones, zones * width))
+    by_target = q.reshape(NUM_CLASSES, zones, zones, width)
+    np.multiply(lv[I : R + 1, None, :, None], alpha, out=by_target[1:])  # classes I and R
+    healthy = by_target[BehaviorClass.HEALTHY]
+    if weights is None:
+        stay = stay[:, None, :]  # (Z, 1, a_max+1) against (Z', 1) values
+        np.multiply(stay, values[S][:, None], out=healthy)
+        healthy += (1.0 - stay) * values[A][:, None]
+    else:
+        w_S, w_A, w_U = weights[:, :, None]  # (Z, 1) each
+        np.multiply((w_S * stay)[:, None, :], (values[S] - values[A])[:, None], out=healthy)
+        healthy += (w_S * values[A] + w_A * lv[A] + w_U * lv[U])[:, :, None]
+    healthy *= alpha
+    q += class_table
+    return q
+
+
 def q_function(
     social: SocialState,
     values: np.ndarray,
@@ -179,7 +222,7 @@ def q_function(
 class DayRows(NamedTuple):
     """One day's policy rows and the class marginals built from them once."""
 
-    states: np.ndarray  # (5, Z, J) the class row of each infection state
+    classes: np.ndarray  # (3, Z, J) the class rows
     moves: np.ndarray  # (3, Z, Z') each class's rows summed over degree
     mean_degree: np.ndarray  # (3, Z) each class's expected degree
 
@@ -191,9 +234,10 @@ class DayPlan:
     ``table`` is a :class:`~epigame.rewards.RewardConfig`'s reward table,
     checked against the parameters' (5, Z, J). :meth:`state_rewards`,
     :meth:`terms` and :meth:`target` evaluate a day on plain arrays: class
-    rows (3, Z, J) and the distribution table (5, Z). They build none of the
-    public containers and check the kernel, the value residual and the
-    logit target's rows, but not the values they derive in range.
+    rows (3, Z, J) and the distribution table (5, Z). They work per behavior
+    class and build no per-state (5, Z, J) table, nor any of the public
+    containers. They check the kernel, the value residual and the logit
+    target's rows, but not the values they derive in range.
     """
 
     table: np.ndarray  # (5, Z, J)
@@ -204,6 +248,8 @@ class DayPlan:
     powers: np.ndarray = field(init=False, repr=False)  # (a_max+1,) contacts per degree
     law: np.ndarray = field(init=False, repr=False)  # (5, 5) idle_law
     feasible: np.ndarray = field(init=False, repr=False)  # (3, 1, J) feasible_actions
+    penalty: np.ndarray = field(init=False, repr=False)  # (3, 1, J) action_penalty
+    class_table: np.ndarray = field(init=False, repr=False)  # (3, Z, J) class_reward_table
 
     def __post_init__(self) -> None:
         p = self.params
@@ -213,11 +259,14 @@ class DayPlan:
                 f"reward table shape {self.table.shape} does not match {expected}"
             )
         check_healthy_q(self.healthy_q)
+        feasible = feasible_actions(p, self.infected_forced_home)[:, None, :]
         fixed = {
             "degrees": action_degrees(p.a_max, p.num_zones).astype(float),
             "powers": np.arange(p.a_max + 1),
             "law": idle_law(p),
-            "feasible": feasible_actions(p, self.infected_forced_home)[:, None, :],
+            "feasible": feasible,
+            "penalty": action_penalty(feasible),
+            "class_table": class_reward_table(self.table),
         }
         for name, value in fixed.items():
             value.setflags(write=False)
@@ -229,31 +278,29 @@ class DayPlan:
         A simulated day computes them once and shares them between its
         observation and :meth:`terms`.
         """
-        # take() gathers small arrays about twice as fast as fancy indexing.
-        states = class_rows.take(CLASS_OF_STATE, axis=0)
-        if states.shape != self.table.shape:
+        if class_rows.shape != self.class_table.shape:
             raise ValidationError(
-                f"reward table shape {self.table.shape} does not match {states.shape}"
+                f"reward table shape {self.table.shape} does not match "
+                f"class rows {class_rows.shape}"
             )
-        rows = DayRows(states, *class_marginals(class_rows, self.degrees))
-        return rows, np.einsum("szj,szj->sz", states, self.table)
+        rows = DayRows(class_rows, *class_marginals(class_rows, self.degrees))
+        return rows, class_expected_rewards(class_rows, self.class_table)
 
     def terms(
         self, rows: DayRows, rewards: np.ndarray, d: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One day's flat kernel matrix (5Z, 5Z) and Q table (5, Z, J).
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One day's flat kernel matrix (5Z, 5Z), survival table (Z, a_max+1) and values (5, Z).
 
         ``rows`` and ``rewards`` come from :meth:`state_rewards`. The survival
-        table is computed once and shared by the kernel, the value solve and
-        the lookahead, so the dynamics and the equilibrium checker act on the
-        same Q.
+        table is computed once and shared by the kernel and the lookahead:
+        :meth:`target` builds class Q from it and the equilibrium checker
+        per-state Q (:func:`lookahead_q`), so both act on the same terms.
         """
         p = self.params
         stay = survival_table(rows.mean_degree, d, self.powers, p)
-        matrix = assemble_kernel(rows.states[InfectionState.S], rows.moves, stay, self.law, p)
+        matrix = assemble_kernel(rows.classes[BehaviorClass.HEALTHY], rows.moves, stay, self.law, p)
         check_kernel(matrix, p.num_zones)
-        values = self.values(matrix, rewards)
-        return matrix, lookahead_q(stay, values, self.table, self.law, p)
+        return matrix, stay, self.values(matrix, rewards)
 
     def values(self, matrix: np.ndarray, rewards: np.ndarray) -> np.ndarray:
         """Values (5, Z) of the day's checked kernel ``matrix`` and ``rewards``.
@@ -265,11 +312,16 @@ class DayPlan:
         by_state = p.num_zones >= BLOCK_SOLVE_MIN_ZONES
         return (solve_values_by_state if by_state else solve_values)(matrix, rewards, p.alpha)
 
-    def target(self, q: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Checked logit target rows (3, Z, J) of ``q`` against the distribution ``d``."""
+    def target(self, stay: np.ndarray, values: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Checked logit target rows (3, Z, J) of :meth:`terms`' ``stay`` and ``values``.
+
+        The class Q (:func:`class_q`) blends the healthy row by the belief
+        weights of the distribution ``d`` in ``belief`` mode.
+        """
         p = self.params
-        cq = healthy_blend(q, d, self.healthy_q)
-        return policy_rows(logit_rows(cq, self.feasible, p.rationality), p.a_max)
+        weights = belief_weights(d) if self.healthy_q == "belief" else None
+        cq = class_q(stay, values, self.class_table, self.law, weights, p.alpha)
+        return policy_rows(logit_rows(cq, self.penalty, p.rationality), p.a_max)
 
 
 def feasible_actions(p: ModelParams, infected_forced_home: bool = True) -> np.ndarray:
@@ -282,6 +334,11 @@ def feasible_actions(p: ModelParams, infected_forced_home: bool = True) -> np.nd
     if infected_forced_home:
         mask[BehaviorClass.SYMPTOMATIC] = action_degrees(p.a_max, p.num_zones) == 0
     return mask
+
+
+def action_penalty(feasible: np.ndarray) -> np.ndarray:
+    """Logit mask of a :func:`feasible_actions` mask: 0 on feasible actions, -inf on the others."""
+    return np.where(feasible, 0.0, -np.inf)
 
 
 def best_response(
@@ -321,20 +378,35 @@ def healthy_blend(q: np.ndarray, d: np.ndarray, mode: str) -> np.ndarray:
     out = q.take(STATE_OF_CLASS, axis=0)
     if mode == "assume_susceptible":
         return out
-    zones = q.shape[1]
-    idx = [int(s) for s in HEALTHY_STATES]
-    healthy_mass = d[idx].sum(axis=0)  # (Z,)
-    weights = np.zeros((len(idx), zones))
-    small = healthy_mass < BELIEF_FLOOR
-    weights[:, ~small] = d[idx][:, ~small] / healthy_mass[~small]
-    weights[0, small] = 1.0  # degenerate zones: act as if susceptible
-    out[BehaviorClass.HEALTHY] = np.einsum("hz,hzj->zj", weights, q[idx])
+    out[BehaviorClass.HEALTHY] = np.einsum("hz,hzj->zj", belief_weights(d), q[list(HEALTHY_STATES)])
     return out
 
 
-def logit_rows(cq: np.ndarray, feasible: np.ndarray, rationality: float) -> np.ndarray:
-    """Row-wise softmax of ``rationality * cq`` (3, Z, J) over ``feasible`` (3, 1, J) actions."""
-    scores = np.where(feasible, rationality * cq, -np.inf)
+def belief_weights(d: np.ndarray) -> np.ndarray:
+    """Posterior weights (3, Z) of S, A and U within each zone's healthy mass of ``d``.
+
+    A zone holding less healthy mass than :data:`BELIEF_FLOOR` acts as if
+    susceptible: weights (1, 0, 0).
+    """
+    healthy = d.take(HEALTHY_STATES, axis=0)  # (3, Z) masses of S, A and U
+    mass = healthy.sum(axis=0)
+    small = mass < BELIEF_FLOOR
+    if small.any():
+        healthy[:, small] = ((1.0,), (0.0,), (0.0,))
+        mass[small] = 1.0
+    healthy /= mass
+    return healthy
+
+
+def logit_rows(cq: np.ndarray, penalty: np.ndarray, rationality: float) -> np.ndarray:
+    """Row-wise softmax of ``rationality * cq`` (3, Z, J), overwriting ``cq``.
+
+    Adding the :func:`action_penalty` ``penalty`` (3, 1, J) sets the
+    infeasible actions' scores to -inf and leaves the finite others as
+    they are.
+    """
+    scores = np.multiply(cq, rationality, out=cq)
+    scores += penalty
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
@@ -358,8 +430,8 @@ def logit_choice(
     """
     check_healthy_q(healthy_q)
     cq = healthy_blend(np.asarray(q, dtype=float), np.asarray(dist_table, dtype=float), healthy_q)
-    mask = feasible_actions(p, infected_forced_home)[:, None, :]
-    return Policy(logit_rows(cq, mask, p.rationality), p.a_max)
+    penalty = action_penalty(feasible_actions(p, infected_forced_home)[:, None, :])
+    return Policy(logit_rows(cq, penalty, p.rationality), p.a_max)
 
 
 def blend(current: np.ndarray, target: np.ndarray, inertia: float) -> np.ndarray:

@@ -219,8 +219,8 @@ def _advance(
     ``rows`` and ``rewards`` are today's :meth:`DayPlan.state_rewards`.
     """
     d = social.dist.d
-    matrix, q = plan.terms(rows, rewards, d)
-    new_rows = blend(social.policy.class_rows, plan.target(q, d), plan.params.inertia)
+    matrix, stay, values = plan.terms(rows, rewards, d)
+    new_rows = blend(social.policy.class_rows, plan.target(stay, values, d), plan.params.inertia)
     return SocialState(
         Policy(new_rows, plan.params.a_max), StateDistribution(propagate_mass(d, matrix))
     )

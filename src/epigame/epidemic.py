@@ -232,8 +232,10 @@ def survival_table(
     0..a_max and ``epsilon > 0``, they pass the checks of
     :class:`ActivityMasses` and :class:`EncounterProbs` by construction.
     """
-    probs = encounter_arrays(*activity_arrays(mean_degree, d), p.epsilon)
-    pressure = p.beta_A * probs[1] + p.beta_I * probs[2]  # (Z,)
+    activity = activity_arrays(mean_degree, d)
+    # The asymptomatic and symptomatic rows of encounter_arrays, without the no-partner one.
+    probs = activity[1:] / (activity[0] + p.epsilon)
+    pressure = p.beta_A * probs[0] + p.beta_I * probs[1]  # (Z,)
     base = np.maximum(1.0 - pressure, 0.0)  # pressure >= 0, so base <= 1
     return base[:, None] ** powers[None, :]
 

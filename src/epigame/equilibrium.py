@@ -33,7 +33,7 @@ from .core import (
     is_real,
     numeric_table,
 )
-from .decision import DayPlan, feasible_actions, tied
+from .decision import DayPlan, feasible_actions, lookahead_q, tied
 from .epidemic import propagate_mass
 from .rewards import RewardConfig
 
@@ -198,18 +198,20 @@ def check_equilibrium(
     every state but the verdict only counts states that carry mass, since
     zero-mass states never bind; their worst gap is reported separately.
     The second condition is stationarity of the distribution under one
-    application of the kernel. Kernel and Q come from the same
-    :meth:`~epigame.decision.DayPlan.terms` evaluation the dynamics step on.
+    application of the kernel. The kernel and the terms of Q come from the
+    same :meth:`~epigame.decision.DayPlan.terms` evaluation the dynamics
+    step on; Q is built per state from them, as :func:`~epigame.decision.q_function` does.
     """
     if not (is_real(tol) and tol > 0.0):
         raise ValidationError(f"tol must be a finite positive number; got {tol!r}")
     plan = DayPlan(cfg.table, p, infected_forced_home=infected_forced_home)
     d = social.dist.d
-    rows, rewards = plan.state_rewards(social.policy.class_rows)
-    matrix, q = plan.terms(rows, rewards, d)
+    matrix, stay, values = plan.terms(*plan.state_rewards(social.policy.class_rows), d)
+    q = lookahead_q(stay, values, plan.table, plan.law, p)
 
-    averaged = np.einsum("szj,szj->sz", rows.states, q)
-    allowed = plan.feasible[CLASS_OF_STATE] | (rows.states > 0.0)  # (5, 1, J) | (5, Z, J)
+    states = social.policy.class_rows.take(CLASS_OF_STATE, axis=0)
+    averaged = np.einsum("szj,szj->sz", states, q)
+    allowed = plan.feasible[CLASS_OF_STATE] | (states > 0.0)  # (5, 1, J) | (5, Z, J)
     best = np.where(allowed, q, -np.inf).max(axis=2)
     gaps = best - averaged
 

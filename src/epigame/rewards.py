@@ -10,6 +10,7 @@ from .core import (
     CLASS_OF_STATE,
     NUM_CLASSES,
     NUM_STATES,
+    STATE_OF_CLASS,
     BehaviorClass,
     InfectionState,
     Policy,
@@ -172,4 +173,26 @@ def expected_reward(policy: Policy, cfg: RewardConfig) -> np.ndarray:
             f"policy dimensions ({policy.num_zones} zones, a_max={policy.a_max}) do not "
             f"match reward config ({cfg.num_zones} zones, a_max={cfg.a_max})"
         )
-    return np.einsum("szj,szj->sz", policy.state_rows(), cfg.table)
+    return class_expected_rewards(policy.class_rows, class_reward_table(cfg.table))
+
+
+def class_reward_table(table: np.ndarray) -> np.ndarray:
+    """Rows (3, Z, J) of a reward ``table`` for each class's :data:`~epigame.core.STATE_OF_CLASS`.
+
+    The rows keep the memory layout of ``table`` (Fortran order at one
+    zone): ``np.einsum`` sums in an order that follows its operands'
+    layout, so the class contraction then gives each state the bits of
+    the per-state one.
+    """
+    return np.take(table, STATE_OF_CLASS, axis=0, out=np.empty_like(table[:NUM_CLASSES]))
+
+
+def class_expected_rewards(class_rows: np.ndarray, class_table: np.ndarray) -> np.ndarray:
+    """Per-(state, zone) expected rewards (5, Z) of class rows and a :func:`class_reward_table`.
+
+    S, A and U share their rows and their reward table, so each state's
+    reward is its class's, contracted once per class and gathered to the
+    states.
+    """
+    # take() gathers small arrays about twice as fast as fancy indexing.
+    return np.einsum("czj,czj->cz", class_rows, class_table).take(CLASS_OF_STATE, axis=0)

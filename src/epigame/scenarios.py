@@ -184,18 +184,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         )
     params = ModelParams(**raw_params)
 
-    ld_doc = data["lockdown_degrees"]
-    try:
-        lockdown = [ld_doc[cls.name.lower()] for cls in BehaviorClass]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad lockdown_degrees table: {exc}") from exc
-
-    init_doc = data["initial_dist"]
-    try:
-        init = [init_doc[s.name] for s in InfectionState]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad initial_dist table: {exc}") from exc
-
+    lockdown = _table_rows(data, "lockdown_degrees", [cls.name.lower() for cls in BehaviorClass])
+    init = _table_rows(data, "initial_dist", [s.name for s in InfectionState])
     benefit = data.get("benefit", "linear")
 
     kwargs = {key: data[key] for key in _SCALAR_FIELDS if key in data}
@@ -207,6 +197,19 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         benefit=None if benefit == "linear" else benefit,
         **kwargs,
     )
+
+
+def _table_rows(data: dict, table: str, keys: list[str]) -> list:
+    """The rows under ``keys`` of the scenario's ``table``; rejects missing and unknown keys."""
+    doc = data[table]
+    try:
+        rows = [doc[key] for key in keys]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"bad {table} table: {exc}") from exc
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ValidationError(f"unknown {table} keys: {sorted(unknown)}; expected {keys}")
+    return rows
 
 
 # --- presets ---------------------------------------------------------------

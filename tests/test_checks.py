@@ -39,7 +39,14 @@ from epigame.core import (
     action_degrees,
     policy_rows,
 )
-from epigame.epidemic import activity_arrays, check_kernel, class_marginals, encounter_arrays
+from epigame.epidemic import (
+    activity_arrays,
+    check_kernel,
+    class_marginals,
+    encounter_arrays,
+    survival_table,
+)
+from conftest import make_params
 
 CASES = 1000
 
@@ -452,3 +459,19 @@ def test_derived_value_invariants_catch_inputs_past_the_container_checks():
         bad[c, z, top] -= shift
         bad[c, z, idle] += shift
         assert derived_violations(bad, d, degrees, epsilon)
+
+
+def test_the_survival_table_reads_the_encounter_probabilities_bit_for_bit():
+    """``survival_table`` divides only the infectious rows, with ``encounter_arrays``' bits."""
+    rng = np.random.default_rng(1202)
+    for _ in range(CASES):
+        rows, d, degrees, epsilon = random_day_inputs(rng)
+        a_max = int(degrees.max())
+        p = make_params(num_zones=d.shape[1], a_max=a_max, epsilon=epsilon,
+                        beta_A=float(rng.uniform(0.0, 1.0)), beta_I=float(rng.uniform(0.0, 1.0)))
+        _, mean_degree = class_marginals(rows, degrees)
+        probs = encounter_arrays(*activity_arrays(mean_degree, d), epsilon)
+        base = np.maximum(1.0 - (p.beta_A * probs[1] + p.beta_I * probs[2]), 0.0)
+        powers = np.arange(a_max + 1)
+        expected = base[:, None] ** powers[None, :]
+        assert np.array_equal(survival_table(mean_degree, d, powers, p), expected)

@@ -317,6 +317,38 @@ def test_malformed_state_documents_and_splits_exit_1_naming_the_field(tmp_path, 
         assert "--split" in err, (split, err)
 
 
+def test_unknown_table_keys_and_state_fields_exit_1_naming_them(tmp_path, capsys):
+    doc = preset("fig4_migration").to_dict()
+    config = tmp_path / "bad.json"
+    for table, key in (("lockdown_degrees", "healthyy"), ("initial_dist", "X")):
+        bad = json.loads(json.dumps(doc))
+        bad[table][key] = [0, 0]
+        config.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert table in err and repr(key) in err, err
+
+    cfg_path = write_config(tmp_path, preset("fig4_migration"))
+    state = tmp_path / "state.json"
+    assert main(["construct-equilibrium", "--config", str(cfg_path),
+                 "--split", "S:0=0.6,R:0=0.4", "--out", str(state)]) == 0
+    base = json.loads(state.read_text())
+    check = ["check-equilibrium", "--config", str(cfg_path), "--state", str(state)]
+    assert main(check) == 0
+    cases = [({"version": v}, "version") for v in (99, 0, "1", 1.0, True, None)]
+    cases.append(({"extra": 1}, "'extra'"))
+    for change, named in cases:
+        state.write_text(json.dumps({**base, **change}))
+        capsys.readouterr()
+        assert main(check) == 1, change
+        assert named in capsys.readouterr().err, change
+    del base["version"]
+    state.write_text(json.dumps(base))
+    assert main(check) == 1
+    assert "version" in capsys.readouterr().err
+
+
 def test_zero_and_non_finite_flag_values_exit_1_naming_the_flag(tmp_path, capsys):
     cfg_path = str(write_config(tmp_path, replace(preset("fig2b"), horizon=12)))
     fig4_path = str(write_config(tmp_path, preset("fig4_migration"), "fig4.json"))

@@ -35,7 +35,7 @@ from epigame.core import (
     flatten_state_table,
     unflatten_action,
 )
-from epigame import decision
+from epigame import decision, epidemic
 from epigame.decision import TIE_TOL, DayPlan, check_healthy_q, healthy_blend
 from conftest import make_params, random_reward_config, random_social
 
@@ -128,11 +128,25 @@ def test_day_terms_match_the_public_pieces():
         p = make_params(num_zones=num_zones, a_max=3)
         cfg = random_reward_config(rng, p)
         social = random_social(rng, p)
+        d = social.dist.d
         plan = DayPlan(cfg.table, p)
-        matrix, q = plan.terms(*plan.state_rewards(social.policy.class_rows), social.dist.d)
-        expected_kernel, values = solved_value(social, cfg, p)
+        matrix, stay, values = plan.terms(*plan.state_rewards(social.policy.class_rows), d)
+        expected_kernel, expected_values = solved_value(social, cfg, p)
         assert np.array_equal(matrix, expected_kernel.matrix)
-        assert np.array_equal(q, q_function(social, values, cfg, p))
+        assert np.array_equal(values, expected_values)
+        q = q_function(social, values, cfg, p)
+        assert np.array_equal(decision.lookahead_q(stay, values, cfg.table, plan.law, p), q)
+        # Class Q: exact where it runs the per-state operations, rearranged
+        # (S, A and U share one reward table) for the belief-weighted healthy row.
+        for mode, weights in (("assume_susceptible", None), ("belief", decision.belief_weights(d))):
+            cq = decision.class_q(stay, values, plan.class_table, plan.law, weights, p.alpha)
+            blended = healthy_blend(q, d, mode)
+            assert np.array_equal(cq[1:], blended[1:])
+            if weights is None:
+                assert np.array_equal(cq, blended)
+            else:
+                scale = max(1.0, float(np.abs(blended).max()))
+                assert np.max(np.abs(cq - blended)) <= 1e-14 * scale
 
 
 def test_the_day_cores_values_match_the_dense_solve():
@@ -144,8 +158,8 @@ def test_the_day_cores_values_match_the_dense_solve():
         social = random_social(rng, p)
         plan = DayPlan(cfg.table, p)
         rows, rewards = plan.state_rewards(social.policy.class_rows)
-        matrix, q = plan.terms(rows, rewards, social.dist.d)
-        values = plan.values(matrix, rewards)
+        matrix, stay, values = plan.terms(rows, rewards, social.dist.d)
+        assert np.array_equal(values, plan.values(matrix, rewards))
         dense = value_function(TransitionKernel(matrix, num_zones), rewards, p)
         by_state = num_zones >= decision.BLOCK_SOLVE_MIN_ZONES
         solve = decision.solve_values_by_state if by_state else decision.solve_values
@@ -154,6 +168,7 @@ def test_the_day_cores_values_match_the_dense_solve():
             assert np.max(np.abs(values - dense)) < 1e-9
         else:
             assert np.array_equal(values, dense)
+        q = decision.lookahead_q(stay, values, cfg.table, plan.law, p)
         assert np.array_equal(q, q_function(social, values, cfg, p))
 
 
@@ -307,6 +322,26 @@ def test_class_q_assume_susceptible_ignores_distribution():
     d = rng.random((NUM_STATES, 2))
     out = healthy_blend(q, d, mode="assume_susceptible")
     assert np.array_equal(out[BehaviorClass.HEALTHY], q[InfectionState.S])
+
+
+def test_class_q_falls_back_to_the_susceptible_row_in_a_zone_empty_of_healthy():
+    rng = np.random.default_rng(29)
+    p = make_params(num_zones=3, a_max=3)
+    cfg = random_reward_config(rng, p)
+    social = random_social(rng, p)
+    d = social.dist.d.copy()
+    d[[InfectionState.S, InfectionState.A, InfectionState.U], 1] = 0.0
+    weights = decision.belief_weights(d)
+    assert weights[:, 1].tolist() == [1.0, 0.0, 0.0]
+    assert np.allclose(weights.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
+    plan = DayPlan(cfg.table, p)
+    stay, values = epidemic.survival(social, p), rng.normal(size=(NUM_STATES, 3))
+    belief = decision.class_q(stay, values, plan.class_table, plan.law, weights, p.alpha)
+    susceptible = decision.class_q(stay, values, plan.class_table, plan.law, None, p.alpha)
+    scale = max(1.0, float(np.abs(susceptible).max()))
+    healthy = BehaviorClass.HEALTHY
+    assert np.max(np.abs(belief[healthy, 1] - susceptible[healthy, 1])) <= 1e-14 * scale
+    assert np.array_equal(belief[1:], susceptible[1:])
 
 
 def test_class_q_rejects_unknown_mode():

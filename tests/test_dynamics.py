@@ -40,7 +40,7 @@ from epigame.core import (
     unflatten_action,
 )
 from epigame import Policy, decision, dynamics, epidemic
-from epigame.rewards import immediate_reward
+from epigame.rewards import class_reward_table, immediate_reward
 from epigame.dynamics import WAVE_PROMINENCE, StepRecord
 from conftest import make_params, random_reward_config, random_social
 from test_checks import random_day_inputs
@@ -74,7 +74,11 @@ def test_step_moves_mass_by_the_pre_step_policy():
     assert nxt.dist.d[InfectionState.R].tolist() == [0.0, 1.0]
 
 
-def test_step_composes_the_published_pieces():
+def composed_step(healthy_q, compose_target):
+    """``step`` and the published pieces composed, on a random two-zone state.
+
+    ``compose_target(social, values, q, cfg, p)`` builds the logit target.
+    """
     p = make_params(num_zones=2, a_max=3)
     cfg = RewardConfig(
         benefit=linear_benefit(3),
@@ -83,15 +87,40 @@ def test_step_composes_the_published_pieces():
         illness_cost=10.0,
     )
     social = random_social(np.random.default_rng(40), p, forced_home=True)
-    nxt = step(social, cfg, p, healthy_q="belief")
+    nxt = step(social, cfg, p, healthy_q=healthy_q)
 
     kernel = transition_matrix(social, p)
     values = value_function(kernel, expected_reward(social.policy, cfg), p)
     q = q_function(social, values, cfg, p)
-    target = logit_choice(q, social.dist.d, p, healthy_q="belief")
+    target = compose_target(social, values, q, cfg, p)
     expected_policy = policy_update(social.policy, target, p.inertia)
     assert np.array_equal(nxt.policy.class_rows, expected_policy.class_rows)
     assert np.array_equal(nxt.dist.d, kernel.propagate(social.dist))
+
+
+def test_step_composes_the_published_pieces():
+    # In belief mode the day core blends the healthy row before adding the
+    # reward table that S, A and U share: class_q, not healthy_blend.
+    def target(social, values, q, cfg, p):
+        cq = decision.class_q(
+            epidemic.survival(social, p),
+            values,
+            class_reward_table(cfg.table),
+            epidemic.idle_law(p),
+            decision.belief_weights(social.dist.d),
+            p.alpha,
+        )
+        penalty = decision.action_penalty(decision.feasible_actions(p)[:, None, :])
+        return Policy(decision.logit_rows(cq, penalty, p.rationality), p.a_max)
+
+    composed_step("belief", target)
+
+
+def test_step_composes_the_published_pieces_assuming_susceptible():
+    def target(social, values, q, cfg, p):
+        return logit_choice(q, social.dist.d, p, healthy_q="assume_susceptible")
+
+    composed_step("assume_susceptible", target)
 
 
 def test_step_is_a_fixed_point_at_a_constructed_equilibrium():

@@ -9,13 +9,14 @@ from epigame import (
     RewardConfig,
     ValidationError,
     expected_reward,
+    preset,
     immediate_reward,
     linear_benefit,
     lockdown_cost,
     uniform_no_move_policy,
 )
 from epigame.core import CLASS_OF_STATE, NUM_STATES, unflatten_action
-from conftest import make_params, random_reward_config
+from conftest import make_params, random_reward_config, random_social
 
 
 def zero_cost_config(num_zones=1, a_max=6):
@@ -245,6 +246,27 @@ def test_expected_reward_uniform_stay_home_frozen():
     assert values[InfectionState.S, 0] == pytest.approx(0.5)
     assert values[InfectionState.I, 0] == pytest.approx(-9.5)
     assert values[InfectionState.R, 0] == pytest.approx(0.5)
+
+
+def test_class_rewards_have_the_per_state_contractions_bits():
+    """Contracted per class in the table's layout, each state's reward keeps its bits.
+
+    The presets' one-zone tables are Fortran-ordered, the others C-ordered.
+    """
+    rng = np.random.default_rng(80)
+    for name in ("fig2a", "fig4_migration"):
+        cfg = preset(name).reward_config()
+        p = preset(name).params
+        for _ in range(20):
+            policy = random_social(rng, p).policy
+            per_state = np.einsum("szj,szj->sz", policy.state_rows(), cfg.table)
+            assert np.array_equal(expected_reward(policy, cfg), per_state)
+    for _ in range(200):
+        p = make_params(num_zones=int(rng.integers(1, 5)), a_max=int(rng.integers(0, 7)))
+        cfg = random_reward_config(rng, p)
+        policy = random_social(rng, p).policy
+        per_state = np.einsum("szj,szj->sz", policy.state_rows(), cfg.table)
+        assert np.array_equal(expected_reward(policy, cfg), per_state)
 
 
 def test_expected_reward_rejects_dimension_mismatch():

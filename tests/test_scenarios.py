@@ -298,6 +298,12 @@ def test_scenario_document_rejections():
     with pytest.raises(ValidationError, match="initial_dist"):
         scenario_from_dict(bad)
 
+    for table, key in (("lockdown_degrees", "healthyy"), ("initial_dist", "X")):
+        bad = dict(doc)
+        bad[table] = dict(doc[table], **{key: [0]})
+        with pytest.raises(ValidationError, match=f"unknown {table} keys: \\['{key}'\\]"):
+            scenario_from_dict(bad)
+
     with pytest.raises(ValidationError, match="mapping"):
         scenario_from_dict([1, 2, 3])
 
