@@ -306,10 +306,12 @@ def _sweep_points(args) -> list[tuple[dict, ScenarioConfig]]:
 
 def cmd_sweep(args) -> int:
     points = _sweep_points(args)
-    if args.horizon is not None:
-        points = [(f, replace(cfg, horizon=args.horizon)) for f, cfg in points]
     if not points:
         raise ValidationError("sweep grid is empty")
+    if args.horizon is not None:
+        if "horizon" in points[0][0]:
+            raise ValidationError("--horizon cannot be combined with the grid path 'horizon'")
+        points = [(f, replace(cfg, horizon=args.horizon)) for f, cfg in points]
     jobs = min(len(points), os.cpu_count() or 1) if args.jobs is None else args.jobs
     if jobs < 1:
         raise ValidationError(f"--jobs must be >= 1; got {args.jobs}")

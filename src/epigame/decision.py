@@ -140,65 +140,45 @@ def check_value_residual(residual: np.ndarray, r: np.ndarray, alpha: float) -> N
 
 
 def lookahead_q(
-    stay: np.ndarray, values: np.ndarray, table: np.ndarray, law: np.ndarray, p: ModelParams
-) -> np.ndarray:
-    """Reward ``table`` (5, Z, J) plus discounted ``values`` of tomorrow's state.
-
-    Tomorrow lies in the action's target zone (the flat action axis splits
-    into target and degree). S survives with probability ``stay`` (Z,
-    a_max+1) or turns A; other states follow ``law``, the
-    :func:`~epigame.epidemic.idle_law`.
-    """
-    zones, width = p.num_zones, p.a_max + 1
-    S, A = InfectionState.S, InfectionState.A
-    tomorrow = np.empty((NUM_STATES, zones, zones, width))
-    tomorrow[:] = (law @ values)[:, None, :, None]
-    stay = stay[:, None, :]  # (Z, 1, a_max+1) against (Z', 1) values
-    np.multiply(stay, values[S][:, None], out=tomorrow[S])
-    tomorrow[S] += (1.0 - stay) * values[A][:, None]
-    tomorrow *= p.alpha
-    q = tomorrow.reshape(NUM_STATES, zones, p.num_actions)
-    q += table
-    return q
-
-
-def class_q(
     stay: np.ndarray,
     values: np.ndarray,
-    class_table: np.ndarray,
+    table: np.ndarray,
     law: np.ndarray,
-    weights: np.ndarray | None,
     alpha: float,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Q values (3, Z, J) per behavior class, built without per-state rows.
+    """Reward ``table`` plus discounted ``values`` of tomorrow's state.
 
-    ``class_table`` (3, Z, J) is the reward table of each class's
-    :data:`~epigame.core.STATE_OF_CLASS`. The I and R rows are
-    ``table + alpha * (law @ values)`` at the target zone, as in
-    :func:`lookahead_q`. With ``weights`` None (``assume_susceptible``) the
-    healthy row is the susceptible row of :func:`lookahead_q`. Otherwise
-    ``weights`` are the :func:`belief_weights` (w_S, w_A, w_U) and the
-    healthy row is their blend of the S, A and U rows, which share one
+    ``table`` is per state (5, Z, J) or per behavior class (3, Z, J), the
+    rows of each class's :data:`~epigame.core.STATE_OF_CLASS`. Tomorrow lies
+    in the action's target zone t (the flat action axis splits into target
+    and degree). Only the first row, S's, depends on today's zone and
+    degree: S survives with probability ``stay`` (Z, a_max+1) or turns A.
+    Every other row is ``table + alpha * (law @ values)[s, t]``, ``law``
+    being the :func:`~epigame.epidemic.idle_law`. With ``weights``, the
+    :func:`belief_weights` (w_S, w_A, w_U) of a class table, the first row
+    is the healthy class's blend of the S, A and U rows, which share one
     reward table: ``table + alpha * (base[z, t] + w_S[z] * stay[z, a] *
     (V_S - V_A)[t])`` with ``base = w_S V_A + w_A (law @ V)_A + w_U (law @ V)_U``.
     """
     zones, width = stay.shape
     S, A, I, R, U = STATE_INDEX
     lv = law @ values
-    q = np.empty((NUM_CLASSES, zones, zones * width))
-    by_target = q.reshape(NUM_CLASSES, zones, zones, width)
-    np.multiply(lv[I : R + 1, None, :, None], alpha, out=by_target[1:])  # classes I and R
-    healthy = by_target[BehaviorClass.HEALTHY]
+    q = np.empty(table.shape)
+    by_target = q.reshape(len(table), zones, zones, width)
+    others = lv[1:] if len(table) == NUM_STATES else lv[I : R + 1]  # A-U, or classes I and R
+    np.multiply(others[:, None, :, None], alpha, out=by_target[1:])
+    first = by_target[0]
     if weights is None:
         stay = stay[:, None, :]  # (Z, 1, a_max+1) against (Z', 1) values
-        np.multiply(stay, values[S][:, None], out=healthy)
-        healthy += (1.0 - stay) * values[A][:, None]
+        np.multiply(stay, values[S][:, None], out=first)
+        first += (1.0 - stay) * values[A][:, None]
     else:
         w_S, w_A, w_U = weights[:, :, None]  # (Z, 1) each
-        np.multiply((w_S * stay)[:, None, :], (values[S] - values[A])[:, None], out=healthy)
-        healthy += (w_S * values[A] + w_A * lv[A] + w_U * lv[U])[:, :, None]
-    healthy *= alpha
-    q += class_table
+        np.multiply((w_S * stay)[:, None, :], (values[S] - values[A])[:, None], out=first)
+        first += (w_S * values[A] + w_A * lv[A] + w_U * lv[U])[:, :, None]
+    first *= alpha
+    q += table
     return q
 
 
@@ -216,7 +196,7 @@ def q_function(
     values = np.asarray(values, dtype=float)
     if values.shape != (NUM_STATES, p.num_zones):
         raise ValidationError(f"values must have shape (5, {p.num_zones}); got {values.shape}")
-    return lookahead_q(survival(social, p), values, cfg.table, idle_law(p), p)
+    return lookahead_q(survival(social, p), values, cfg.table, idle_law(p), p.alpha)
 
 
 class DayRows(NamedTuple):
@@ -293,8 +273,8 @@ class DayPlan:
 
         ``rows`` and ``rewards`` come from :meth:`state_rewards`. The survival
         table is computed once and shared by the kernel and the lookahead:
-        :meth:`target` builds class Q from it and the equilibrium checker
-        per-state Q (:func:`lookahead_q`), so both act on the same terms.
+        :func:`lookahead_q` prices tomorrow from it, per class in
+        :meth:`target` and per state in the equilibrium checker.
         """
         p = self.params
         stay = survival_table(rows.mean_degree, d, self.powers, p)
@@ -315,12 +295,13 @@ class DayPlan:
     def target(self, stay: np.ndarray, values: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Checked logit target rows (3, Z, J) of :meth:`terms`' ``stay`` and ``values``.
 
-        The class Q (:func:`class_q`) blends the healthy row by the belief
-        weights of the distribution ``d`` in ``belief`` mode.
+        The class Q is :func:`lookahead_q` of the class table; in ``belief``
+        mode its healthy row is blended by the :func:`belief_weights` of the
+        distribution ``d``.
         """
         p = self.params
         weights = belief_weights(d) if self.healthy_q == "belief" else None
-        cq = class_q(stay, values, self.class_table, self.law, weights, p.alpha)
+        cq = lookahead_q(stay, values, self.class_table, self.law, p.alpha, weights)
         return policy_rows(logit_rows(cq, self.penalty, p.rationality), p.a_max)
 
 

@@ -207,7 +207,7 @@ def check_equilibrium(
     plan = DayPlan(cfg.table, p, infected_forced_home=infected_forced_home)
     d = social.dist.d
     matrix, stay, values = plan.terms(*plan.state_rewards(social.policy.class_rows), d)
-    q = lookahead_q(stay, values, plan.table, plan.law, p)
+    q = lookahead_q(stay, values, plan.table, plan.law, p.alpha)
 
     states = social.policy.class_rows.take(CLASS_OF_STATE, axis=0)
     averaged = np.einsum("szj,szj->sz", states, q)

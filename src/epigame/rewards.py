@@ -85,7 +85,7 @@ class RewardConfig:
         zones = self.num_zones
         deg = action_degrees(self.a_max, zones)
         moves = action_targets(self.a_max, zones)[None, :] != np.arange(zones)[:, None]  # (Z, J)
-        r = o[deg][None, None, :] - c[:, :, deg] - self.migration_cost * moves[None, :, :]
+        r = o[deg][None, None, :] - c.take(deg, axis=2) - self.migration_cost * moves[None, :, :]
         r[InfectionState.I] -= self.illness_cost
         r.setflags(write=False)
         object.__setattr__(self, "table", r)
@@ -177,14 +177,8 @@ def expected_reward(policy: Policy, cfg: RewardConfig) -> np.ndarray:
 
 
 def class_reward_table(table: np.ndarray) -> np.ndarray:
-    """Rows (3, Z, J) of a reward ``table`` for each class's :data:`~epigame.core.STATE_OF_CLASS`.
-
-    The rows keep the memory layout of ``table`` (Fortran order at one
-    zone): ``np.einsum`` sums in an order that follows its operands'
-    layout, so the class contraction then gives each state the bits of
-    the per-state one.
-    """
-    return np.take(table, STATE_OF_CLASS, axis=0, out=np.empty_like(table[:NUM_CLASSES]))
+    """Rows (3, Z, J) of a reward ``table`` for each class's :data:`~epigame.core.STATE_OF_CLASS`."""
+    return table.take(STATE_OF_CLASS, axis=0)
 
 
 def class_expected_rewards(class_rows: np.ndarray, class_table: np.ndarray) -> np.ndarray:

@@ -391,13 +391,16 @@ def sweep(grid, base: ScenarioConfig) -> list[ScenarioConfig]:
 
     ``grid`` is a sequence of ``(field_path, values)`` pairs; paths address
     model parameters (``params.alpha``), lockdown rows
-    (``lockdown.healthy``) or plain scenario fields (``horizon``). An empty
-    grid yields just the base configuration.
+    (``lockdown.healthy``) or plain scenario fields (``horizon``), each at
+    most once. An empty grid yields just the base configuration.
     """
     grid = list(grid)
     if not grid:
         return [base]
     paths = [path for path, _ in grid]
+    for path in paths:
+        if paths.count(path) > 1:
+            raise ValidationError(f"sweep field path {path!r} is given more than once")
     value_lists = [list(values) for _, values in grid]
     out = []
     for combo in itertools.product(*value_lists):

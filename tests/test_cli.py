@@ -441,6 +441,14 @@ def test_sweep_input_errors(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--grid", "bogus.path=1"]) == 1
     assert main(["sweep", "--config", str(cfg_path), "--grid", "lockdown.all=1",
                  "--jobs", "-1", "--out", str(tmp_path / "neg")]) == 1
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg_path), "--grid", "params.alpha=0.1,0.2",
+                 "--grid", "params.alpha=0.5", "--out", str(tmp_path / "twice")]) == 1
+    assert "'params.alpha' is given more than once" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(cfg_path), "--grid", "horizon=3,4",
+                 "--horizon", "6", "--out", str(tmp_path / "both")]) == 1
+    assert "--horizon cannot be combined with the grid path 'horizon'" in capsys.readouterr().err
+    assert not (tmp_path / "twice").exists() and not (tmp_path / "both").exists()
 
 
 # --- equilibrium files ----------------------------------------------------------

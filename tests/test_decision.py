@@ -124,7 +124,8 @@ def test_value_function_rejects_non_finite_rewards(bad):
 
 def test_day_terms_match_the_public_pieces():
     rng = np.random.default_rng(25)
-    for num_zones in (1, 2, 3):
+    # 20 and 40 zones: the block solve's side of BLOCK_SOLVE_MIN_ZONES.
+    for num_zones in (1, 2, 3, 20, 40):
         p = make_params(num_zones=num_zones, a_max=3)
         cfg = random_reward_config(rng, p)
         social = random_social(rng, p)
@@ -132,14 +133,18 @@ def test_day_terms_match_the_public_pieces():
         plan = DayPlan(cfg.table, p)
         matrix, stay, values = plan.terms(*plan.state_rewards(social.policy.class_rows), d)
         expected_kernel, expected_values = solved_value(social, cfg, p)
+        if num_zones >= decision.BLOCK_SOLVE_MIN_ZONES:
+            rewards = expected_reward(social.policy, cfg)
+            solve = decision.solve_values_by_state
+            expected_values = solve(expected_kernel.matrix, rewards, p.alpha)
         assert np.array_equal(matrix, expected_kernel.matrix)
         assert np.array_equal(values, expected_values)
         q = q_function(social, values, cfg, p)
-        assert np.array_equal(decision.lookahead_q(stay, values, cfg.table, plan.law, p), q)
+        assert np.array_equal(decision.lookahead_q(stay, values, cfg.table, plan.law, p.alpha), q)
         # Class Q: exact where it runs the per-state operations, rearranged
         # (S, A and U share one reward table) for the belief-weighted healthy row.
         for mode, weights in (("assume_susceptible", None), ("belief", decision.belief_weights(d))):
-            cq = decision.class_q(stay, values, plan.class_table, plan.law, weights, p.alpha)
+            cq = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha, weights)
             blended = healthy_blend(q, d, mode)
             assert np.array_equal(cq[1:], blended[1:])
             if weights is None:
@@ -168,7 +173,7 @@ def test_the_day_cores_values_match_the_dense_solve():
             assert np.max(np.abs(values - dense)) < 1e-9
         else:
             assert np.array_equal(values, dense)
-        q = decision.lookahead_q(stay, values, cfg.table, plan.law, p)
+        q = decision.lookahead_q(stay, values, cfg.table, plan.law, p.alpha)
         assert np.array_equal(q, q_function(social, values, cfg, p))
 
 
@@ -336,8 +341,8 @@ def test_class_q_falls_back_to_the_susceptible_row_in_a_zone_empty_of_healthy():
     assert np.allclose(weights.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
     plan = DayPlan(cfg.table, p)
     stay, values = epidemic.survival(social, p), rng.normal(size=(NUM_STATES, 3))
-    belief = decision.class_q(stay, values, plan.class_table, plan.law, weights, p.alpha)
-    susceptible = decision.class_q(stay, values, plan.class_table, plan.law, None, p.alpha)
+    belief = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha, weights)
+    susceptible = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha)
     scale = max(1.0, float(np.abs(susceptible).max()))
     healthy = BehaviorClass.HEALTHY
     assert np.max(np.abs(belief[healthy, 1] - susceptible[healthy, 1])) <= 1e-14 * scale

@@ -100,15 +100,16 @@ def composed_step(healthy_q, compose_target):
 
 def test_step_composes_the_published_pieces():
     # In belief mode the day core blends the healthy row before adding the
-    # reward table that S, A and U share: class_q, not healthy_blend.
+    # reward table that S, A and U share: lookahead_q of the class table,
+    # not healthy_blend.
     def target(social, values, q, cfg, p):
-        cq = decision.class_q(
+        cq = decision.lookahead_q(
             epidemic.survival(social, p),
             values,
             class_reward_table(cfg.table),
             epidemic.idle_law(p),
-            decision.belief_weights(social.dist.d),
             p.alpha,
+            decision.belief_weights(social.dist.d),
         )
         penalty = decision.action_penalty(decision.feasible_actions(p)[:, None, :])
         return Policy(decision.logit_rows(cq, penalty, p.rationality), p.a_max)

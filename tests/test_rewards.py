@@ -249,14 +249,12 @@ def test_expected_reward_uniform_stay_home_frozen():
 
 
 def test_class_rewards_have_the_per_state_contractions_bits():
-    """Contracted per class in the table's layout, each state's reward keeps its bits.
-
-    The presets' one-zone tables are Fortran-ordered, the others C-ordered.
-    """
+    """Contracted per class, each state's reward keeps the per-state contraction's bits."""
     rng = np.random.default_rng(80)
     for name in ("fig2a", "fig4_migration"):
         cfg = preset(name).reward_config()
         p = preset(name).params
+        assert cfg.table.flags.c_contiguous
         for _ in range(20):
             policy = random_social(rng, p).policy
             per_state = np.einsum("szj,szj->sz", policy.state_rows(), cfg.table)

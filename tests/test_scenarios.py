@@ -358,3 +358,5 @@ def test_sweep_rejects_unknown_paths_and_invalid_values():
         sweep([("lockdown.all", [9])], base)  # above the degree cap
     with pytest.raises(ValidationError):
         sweep([("lockdown.healthy", [1])], base)  # below the symptomatic row
+    with pytest.raises(ValidationError, match="'params.alpha' is given more than once"):
+        sweep([("params.alpha", [0.1, 0.2]), ("params.alpha", [0.5])], base)
