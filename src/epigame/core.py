@@ -144,6 +144,14 @@ def float_entries(name: str, arr: np.ndarray) -> np.ndarray:
     return arr.astype(float)
 
 
+def store(container, **values) -> None:
+    """Set each field named in ``values`` on the frozen ``container``; arrays become read-only."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(container, name, value)
+
+
 def validate_params(p: ModelParams) -> ModelParams:
     """Return ``p`` unchanged if every documented bound holds.
 
@@ -250,9 +258,7 @@ class StateDistribution:
                 raise ValidationError(f"distribution has negative mass (min {d.min()})")
             if abs(total - 1.0) > PROB_TOL:
                 raise ValidationError(f"distribution mass must be 1 within {PROB_TOL}; got {total}")
-        d = d / total
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        store(self, d=d / total)
 
     @property
     def num_zones(self) -> int:
@@ -287,9 +293,7 @@ class Policy:
     a_max: int
 
     def __post_init__(self) -> None:
-        rows = policy_rows(np.asarray(self.class_rows, dtype=float), self.a_max)
-        rows.setflags(write=False)
-        object.__setattr__(self, "class_rows", rows)
+        store(self, class_rows=policy_rows(np.asarray(self.class_rows, dtype=float), self.a_max))
 
     @property
     def num_zones(self) -> int:

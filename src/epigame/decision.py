@@ -29,6 +29,7 @@ from .core import (
     flatten_state_table,
     numeric_table,
     policy_rows,
+    store,
     unflatten_state_table,
 )
 from .epidemic import (
@@ -193,18 +194,17 @@ def q_function(
     The agent picks (degree, target zone) today and reverts to the shared
     policy tomorrow, so tomorrow is priced by ``values`` at the target zone.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (NUM_STATES, p.num_zones):
-        raise ValidationError(f"values must have shape (5, {p.num_zones}); got {values.shape}")
+    values = numeric_table("values", values, (NUM_STATES, p.num_zones))
     return lookahead_q(survival(social, p), values, cfg.table, idle_law(p), p.alpha)
 
 
 class DayRows(NamedTuple):
-    """One day's policy rows and the class marginals built from them once."""
+    """One day's policy rows and what a day derives from them once."""
 
     classes: np.ndarray  # (3, Z, J) the class rows
     moves: np.ndarray  # (3, Z, Z') each class's rows summed over degree
     mean_degree: np.ndarray  # (3, Z) each class's expected degree
+    rewards: np.ndarray  # (5, Z) each state's expected reward
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +227,7 @@ class DayPlan:
     degrees: np.ndarray = field(init=False, repr=False)  # (J,) float degree of each action
     powers: np.ndarray = field(init=False, repr=False)  # (a_max+1,) contacts per degree
     law: np.ndarray = field(init=False, repr=False)  # (5, 5) idle_law
-    feasible: np.ndarray = field(init=False, repr=False)  # (3, 1, J) feasible_actions
-    penalty: np.ndarray = field(init=False, repr=False)  # (3, 1, J) action_penalty
+    penalty: np.ndarray = field(init=False, repr=False)  # (3, 1, J) action_penalty; 0 if feasible
     class_table: np.ndarray = field(init=False, repr=False)  # (3, Z, J) class_reward_table
 
     def __post_init__(self) -> None:
@@ -240,22 +239,14 @@ class DayPlan:
             )
         check_healthy_q(self.healthy_q)
         feasible = feasible_actions(p, self.infected_forced_home)[:, None, :]
-        fixed = {
-            "degrees": action_degrees(p.a_max, p.num_zones).astype(float),
-            "powers": np.arange(p.a_max + 1),
-            "law": idle_law(p),
-            "feasible": feasible,
-            "penalty": action_penalty(feasible),
-            "class_table": class_reward_table(self.table),
-        }
-        for name, value in fixed.items():
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        store(self, degrees=action_degrees(p.a_max, p.num_zones).astype(float),
+              powers=np.arange(p.a_max + 1), law=idle_law(p), penalty=action_penalty(feasible),
+              class_table=class_reward_table(self.table))
 
-    def state_rewards(self, class_rows: np.ndarray) -> tuple[DayRows, np.ndarray]:
-        """:class:`DayRows` of ``class_rows`` and the states' expected rewards (5, Z).
+    def state_rewards(self, class_rows: np.ndarray) -> DayRows:
+        """The :class:`DayRows` of ``class_rows``: marginals and the states' rewards (5, Z).
 
-        A simulated day computes them once and shares them between its
+        A simulated day builds them once and shares them between its
         observation and :meth:`terms`.
         """
         if class_rows.shape != self.class_table.shape:
@@ -263,24 +254,23 @@ class DayPlan:
                 f"reward table shape {self.table.shape} does not match "
                 f"class rows {class_rows.shape}"
             )
-        rows = DayRows(class_rows, *class_marginals(class_rows, self.degrees))
-        return rows, class_expected_rewards(class_rows, self.class_table)
+        marginals = class_marginals(class_rows, self.degrees)
+        return DayRows(class_rows, *marginals, class_expected_rewards(class_rows, self.class_table))
 
-    def terms(
-        self, rows: DayRows, rewards: np.ndarray, d: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def terms(self, rows: DayRows, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One day's flat kernel matrix (5Z, 5Z), survival table (Z, a_max+1) and values (5, Z).
 
-        ``rows`` and ``rewards`` come from :meth:`state_rewards`. The survival
-        table is computed once and shared by the kernel and the lookahead:
-        :func:`lookahead_q` prices tomorrow from it, per class in
-        :meth:`target` and per state in the equilibrium checker.
+        ``rows`` comes from :meth:`state_rewards`, and ``d`` is the
+        distribution table (5, Z). The survival table is computed once and
+        shared by the kernel and the lookahead: :func:`lookahead_q` prices
+        tomorrow from it, per class in :meth:`target` and per state in the
+        equilibrium checker.
         """
         p = self.params
         stay = survival_table(rows.mean_degree, d, self.powers, p)
-        matrix = assemble_kernel(rows.classes[BehaviorClass.HEALTHY], rows.moves, stay, self.law, p)
+        matrix = assemble_kernel(rows.classes[BehaviorClass.HEALTHY], rows.moves, stay, self.law)
         check_kernel(matrix, p.num_zones)
-        return matrix, stay, self.values(matrix, rewards)
+        return matrix, stay, self.values(matrix, rows.rewards)
 
     def values(self, matrix: np.ndarray, rewards: np.ndarray) -> np.ndarray:
         """Values (5, Z) of the day's checked kernel ``matrix`` and ``rewards``.
@@ -410,7 +400,9 @@ def logit_choice(
     finite.
     """
     check_healthy_q(healthy_q)
-    cq = healthy_blend(np.asarray(q, dtype=float), np.asarray(dist_table, dtype=float), healthy_q)
+    q = numeric_table("q", q, (NUM_STATES, p.num_zones, p.num_actions))
+    d = numeric_table("dist_table", dist_table, (NUM_STATES, p.num_zones))
+    cq = healthy_blend(q, d, healthy_q)
     penalty = action_penalty(feasible_actions(p, infected_forced_home)[:, None, :])
     return Policy(logit_rows(cq, penalty, p.rationality), p.a_max)
 

@@ -26,6 +26,7 @@ from .core import (
     StateDistribution,
     ValidationError,
     is_real,
+    store,
 )
 from .decision import DayPlan, DayRows, blend
 from .epidemic import propagate_mass
@@ -86,16 +87,8 @@ class Trajectory:
         self, observed: list[tuple], source: ScenarioConfig | tuple[StepRecord, ...]
     ) -> None:
         dist, activation, flows, welfare = zip(*observed)
-        columns = {
-            "dist": np.stack(dist),
-            "activation": np.stack(activation),
-            "flows": np.stack(flows),
-            "daily_welfare": np.array(welfare),
-        }
-        for name, column in columns.items():
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "source", source)
+        store(self, dist=np.stack(dist), activation=np.stack(activation), flows=np.stack(flows),
+              daily_welfare=np.array(welfare), source=source)
 
     @cached_property
     def records(self) -> tuple[StepRecord, ...]:
@@ -107,7 +100,7 @@ class Trajectory:
         """
         if not isinstance(self.source, ScenarioConfig):
             return self.source
-        states = [social for _, social, _, _ in islice(_days(self.source), len(self))]
+        states = [social for social, _ in islice(_days(self.source), len(self))]
         return tuple(
             StepRecord(day, social, self.activation[day], self.flows[day],
                        float(self.daily_welfare[day]))
@@ -199,27 +192,26 @@ class SimulationResult:
 
 
 def _observe(
-    social: SocialState, rows: DayRows, rewards: np.ndarray
+    social: SocialState, rows: DayRows
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Distribution (5, Z), mean activation (3, Z), flows (Z, Z) and welfare of one day.
 
-    ``rows`` and ``rewards`` are the day's :meth:`DayPlan.state_rewards`.
+    ``rows`` is the day's :meth:`DayPlan.state_rewards`: the welfare is the
+    distribution's mass against its rewards, the flows against its moves.
     """
     d = social.dist.d
-    welfare = float(np.sum(d * rewards))
+    welfare = float(np.sum(d * rows.rewards))
     flow = np.einsum("sz,szt->zt", d, rows.moves.take(CLASS_OF_STATE, axis=0))
     return d, rows.mean_degree, flow, welfare
 
 
-def _advance(
-    plan: DayPlan, social: SocialState, rows: DayRows, rewards: np.ndarray
-) -> SocialState:
+def _advance(plan: DayPlan, social: SocialState, rows: DayRows) -> SocialState:
     """The day update on plain arrays; only tomorrow's state objects are built.
 
-    ``rows`` and ``rewards`` are today's :meth:`DayPlan.state_rewards`.
+    ``rows`` is today's :meth:`DayPlan.state_rewards`.
     """
     d = social.dist.d
-    matrix, stay, values = plan.terms(rows, rewards, d)
+    matrix, stay, values = plan.terms(rows, d)
     new_rows = blend(social.policy.class_rows, plan.target(stay, values, d), plan.params.inertia)
     return SocialState(
         Policy(new_rows, plan.params.a_max), StateDistribution(propagate_mass(d, matrix))
@@ -236,16 +228,14 @@ def step(
 ) -> SocialState:
     """One simultaneous day update of policy and distribution."""
     plan = DayPlan(cfg.table, p, healthy_q, infected_forced_home)
-    return _advance(plan, social, *plan.state_rewards(social.policy.class_rows))
+    return _advance(plan, social, plan.state_rewards(social.policy.class_rows))
 
 
-def _days(
-    scenario: ScenarioConfig,
-) -> Iterator[tuple[DayPlan, SocialState, DayRows, np.ndarray]]:
-    """The run's days, unbounded: plan, social state, day rows and expected rewards.
+def _days(scenario: ScenarioConfig) -> Iterator[tuple[SocialState, DayRows]]:
+    """The run's days, unbounded: each day's social state and its :class:`DayRows`.
 
-    The next day is built only when the caller asks for it, from the rows
-    and rewards already handed out.
+    One :class:`DayPlan` serves the run. The next day is built only when the
+    caller asks for it, from the rows already handed out.
     """
     plan = DayPlan(
         scenario.reward_config().table,
@@ -255,9 +245,9 @@ def _days(
     )
     social = scenario.initial_social()
     while True:
-        rows, rewards = plan.state_rewards(social.policy.class_rows)
-        yield plan, social, rows, rewards
-        social = _advance(plan, social, rows, rewards)
+        rows = plan.state_rewards(social.policy.class_rows)
+        yield social, rows
+        social = _advance(plan, social, rows)
 
 
 def simulate(scenario: ScenarioConfig) -> SimulationResult:
@@ -273,8 +263,8 @@ def simulate(scenario: ScenarioConfig) -> SimulationResult:
     """
     observed = []
     previous = None
-    for day, (plan, social, rows, rewards) in enumerate(_days(scenario)):
-        observed.append(_observe(social, rows, rewards))
+    for day, (social, rows) in enumerate(_days(scenario)):
+        observed.append(_observe(social, rows))
         if day >= scenario.horizon:
             stop_reason = "horizon"
             break

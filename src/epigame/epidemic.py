@@ -28,6 +28,7 @@ from .core import (
     action_degrees,
     flatten_state_table,
     float_entries,
+    store,
     unflatten_state_table,
 )
 
@@ -76,8 +77,7 @@ class TransitionKernel:
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float)
         check_kernel(m, self.num_zones)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        store(self, matrix=m)
 
     def propagate(self, dist: StateDistribution) -> np.ndarray:
         """One day of mass transport; returns the raw (5, Z) product."""
@@ -102,8 +102,7 @@ def _stored_fields(container, kind: str):
             raise ValidationError(
                 f"{kind} {f.name} has length {arr.size}; {first[0]} has length {first[1]}"
             )
-        arr.setflags(write=False)
-        object.__setattr__(container, f.name, arr)
+        store(container, **{f.name: arr})
         yield f.name, arr
 
 
@@ -268,7 +267,7 @@ def state_transition(
 
 
 def assemble_kernel(
-    healthy: np.ndarray, moves: np.ndarray, stay: np.ndarray, law: np.ndarray, p: ModelParams
+    healthy: np.ndarray, moves: np.ndarray, stay: np.ndarray, law: np.ndarray
 ) -> np.ndarray:
     """Flat kernel matrix (5Z, 5Z) of a day's class marginal ``moves`` (3, Z, Z').
 
@@ -276,9 +275,9 @@ def assemble_kernel(
     as its class does. The susceptible mass that the healthy rows
     ``healthy`` (Z, J) send to a target stays S with the survival chance
     ``stay`` (Z, a_max+1) of the degree taken and turns A otherwise; both
-    are sums of nonnegative terms.
+    are sums of nonnegative terms. Z and a_max+1 are read from ``stay``.
     """
-    zones, width = p.num_zones, p.a_max + 1
+    zones, width = stay.shape
     S, A = InfectionState.S, InfectionState.A
     kernel = np.empty((zones, NUM_STATES, zones, NUM_STATES))  # (z, s) -> (z', s')
     # Written with the target zone innermost; the next-state axis is only 5 long.
@@ -291,7 +290,7 @@ def assemble_kernel(
     by_target = healthy.reshape(zones, zones, width)
     np.matmul(by_target, stay[:, :, None], out=kernel[:, S, :, S, None])
     np.matmul(by_target, (1.0 - stay)[:, :, None], out=kernel[:, S, :, A, None])
-    return kernel.reshape(p.num_flat_states, p.num_flat_states)
+    return kernel.reshape(NUM_STATES * zones, NUM_STATES * zones)
 
 
 def transition_matrix(social: SocialState, p: ModelParams) -> TransitionKernel:
@@ -299,4 +298,4 @@ def transition_matrix(social: SocialState, p: ModelParams) -> TransitionKernel:
     moves, mean_degree = policy_marginals(social, p)
     stay = survival_table(mean_degree, social.dist.d, np.arange(p.a_max + 1), p)
     healthy = social.policy.class_rows[BehaviorClass.HEALTHY]
-    return TransitionKernel(assemble_kernel(healthy, moves, stay, idle_law(p), p), p.num_zones)
+    return TransitionKernel(assemble_kernel(healthy, moves, stay, idle_law(p)), p.num_zones)

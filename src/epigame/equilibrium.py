@@ -206,12 +206,12 @@ def check_equilibrium(
         raise ValidationError(f"tol must be a finite positive number; got {tol!r}")
     plan = DayPlan(cfg.table, p, infected_forced_home=infected_forced_home)
     d = social.dist.d
-    matrix, stay, values = plan.terms(*plan.state_rewards(social.policy.class_rows), d)
+    matrix, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
     q = lookahead_q(stay, values, plan.table, plan.law, p.alpha)
 
     states = social.policy.class_rows.take(CLASS_OF_STATE, axis=0)
     averaged = np.einsum("szj,szj->sz", states, q)
-    allowed = plan.feasible[CLASS_OF_STATE] | (states > 0.0)  # (5, 1, J) | (5, Z, J)
+    allowed = (plan.penalty == 0.0)[CLASS_OF_STATE] | (states > 0.0)  # (5, 1, J) | (5, Z, J)
     best = np.where(allowed, q, -np.inf).max(axis=2)
     gaps = best - averaged
 

@@ -17,7 +17,9 @@ from .core import (
     ValidationError,
     action_degrees,
     action_targets,
+    float_entries,
     is_real,
+    store,
 )
 
 
@@ -40,7 +42,7 @@ class RewardConfig:
     table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        o = np.array(self.benefit, dtype=float)
+        o = float_entries("benefit", np.array(self.benefit, dtype=object))
         if o.ndim != 1 or o.size < 1:
             raise ValidationError(f"benefit must be a nonempty vector; got shape {o.shape}")
         if not np.all(np.isfinite(o)) or np.any(o < 0.0):
@@ -49,10 +51,8 @@ class RewardConfig:
             raise ValidationError(f"benefit at degree 0 must be 0; got {o[0]}")
         if np.any(np.diff(o) < 0.0):
             raise ValidationError("benefit must be nondecreasing in the degree")
-        o.setflags(write=False)
-        object.__setattr__(self, "benefit", o)
 
-        c = np.array(self.activation_cost, dtype=float)
+        c = float_entries("activation_cost", np.array(self.activation_cost, dtype=object))
         if c.ndim != 3 or c.shape[0] != NUM_STATES or c.shape[2] != o.size:
             raise ValidationError(
                 f"activation cost must have shape (5, Z, {o.size}); got {c.shape}"
@@ -74,21 +74,18 @@ class RewardConfig:
             raise ValidationError("activation cost for I must dominate the healthy cost")
         if np.any(r_ > s_):
             raise ValidationError("activation cost for R must not exceed the healthy cost")
-        c.setflags(write=False)
-        object.__setattr__(self, "activation_cost", c)
 
         for name in ("migration_cost", "illness_cost"):
             value = getattr(self, name)
             if not (is_real(value) and value >= 0.0):
                 raise ValidationError(f"{name} must be a finite real number >= 0; got {value!r}")
 
-        zones = self.num_zones
-        deg = action_degrees(self.a_max, zones)
-        moves = action_targets(self.a_max, zones)[None, :] != np.arange(zones)[:, None]  # (Z, J)
+        zones, a_max = c.shape[1], o.size - 1
+        deg = action_degrees(a_max, zones)
+        moves = action_targets(a_max, zones)[None, :] != np.arange(zones)[:, None]  # (Z, J)
         r = o[deg][None, None, :] - c.take(deg, axis=2) - self.migration_cost * moves[None, :, :]
         r[InfectionState.I] -= self.illness_cost
-        r.setflags(write=False)
-        object.__setattr__(self, "table", r)
+        store(self, benefit=o, activation_cost=c, table=r)
 
     @property
     def num_zones(self) -> int:
@@ -117,11 +114,12 @@ def lockdown_cost(
     exceeding it costs ``multiplier`` times the benefit of the chosen
     degree, so overshooting is never worth it for ``multiplier > 1``.
     """
-    ld = np.asarray(lockdown_degrees)
-    o = np.asarray(benefit, dtype=float)
+    ld = np.array(lockdown_degrees, dtype=object)
+    o = float_entries("benefit", np.array(benefit, dtype=object))
     a_max = o.size - 1
     if ld.ndim != 2 or ld.shape[0] != NUM_CLASSES:
         raise ValidationError(f"lockdown_degrees must have shape (3, Z); got {ld.shape}")
+    ld = float_entries("lockdown_degrees", ld)
     if np.any(ld != np.floor(ld)) or np.any(ld < 0) or np.any(ld > a_max):
         raise ValidationError(f"lockdown_degrees must be integers in [0, {a_max}]")
     if not is_real(multiplier) or multiplier <= 0.0:

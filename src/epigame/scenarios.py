@@ -29,6 +29,7 @@ from .core import (
     is_real,
     no_move_rows,
     numeric_table,
+    store,
 )
 from .decision import check_healthy_q, feasible_actions
 from .rewards import RewardConfig, linear_benefit, lockdown_cost
@@ -67,13 +68,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError(f"scenario name must be a nonempty string; got {self.name!r}")
-        zones = self.params.num_zones
+        zones, a_max = self.params.num_zones, self.params.a_max
         ld = numeric_table("lockdown_degrees", self.lockdown_degrees, (NUM_CLASSES, zones))
         init = numeric_table("initial_dist", self.initial_dist, (NUM_STATES, zones))
-        object.__setattr__(self, "initial_dist", init)
-        if self.benefit is not None:
-            benefit = numeric_table("benefit", self.benefit, (self.params.a_max + 1,))
-            object.__setattr__(self, "benefit", benefit)
+        benefit = (None if self.benefit is None
+                   else numeric_table("benefit", self.benefit, (a_max + 1,)))
         if not is_integer(self.horizon) or self.horizon < 1:
             raise ValidationError(f"horizon must be an integer >= 1; got {self.horizon!r}")
         for name in ("extinction_threshold", "policy_settle_threshold"):
@@ -85,7 +84,7 @@ class ScenarioConfig:
             if not isinstance(value, (bool, np.bool_)):
                 raise ValidationError(f"{name} must be true or false; got {value!r}")
         check_healthy_q(self.healthy_q)
-        o = self.benefit if self.benefit is not None else linear_benefit(self.params.a_max)
+        o = benefit if benefit is not None else linear_benefit(a_max)
         rewards = RewardConfig(
             benefit=o,
             activation_cost=lockdown_cost(ld, o, self.lockdown_multiplier),
@@ -99,14 +98,13 @@ class ScenarioConfig:
                 "migration_cost, illness_cost) give a value bound max|reward| / (1 - alpha) "
                 "that is not finite"
             )
-        object.__setattr__(self, "_rewards", rewards)
-        ld = ld.astype(int)  # lockdown_cost has checked the entries are integers
-        ld.setflags(write=False)
-        object.__setattr__(self, "lockdown_degrees", ld)
         try:
-            object.__setattr__(self, "_initial_dist", StateDistribution(init))
+            dist = StateDistribution(init)
         except ValidationError as exc:
             raise ValidationError(f"initial_dist: {exc}") from None
+        # lockdown_cost has checked that the lockdown entries are integers.
+        store(self, lockdown_degrees=ld.astype(int), initial_dist=init, benefit=benefit,
+              _rewards=rewards, _initial_dist=dist)
 
     def reward_config(self) -> RewardConfig:
         return self._rewards
@@ -369,21 +367,28 @@ def _override(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
             raise ValidationError(f"unknown model parameter in sweep path {path!r}")
         return replace(cfg, params=replace(cfg.params, **{name: value}))
     if path.startswith("lockdown."):
-        key = path[len("lockdown.") :]
         ld = np.array(cfg.lockdown_degrees, dtype=object)  # the constructor checks values
-        if key == "all":
-            ld[:] = value
-        elif key.upper() in BehaviorClass.__members__:
-            ld[BehaviorClass[key.upper()]] = value
-        else:
-            raise ValidationError(
-                f"unknown behavior class in sweep path {path!r}; "
-                "use healthy, symptomatic, recovered or all"
-            )
+        ld[_lockdown_rows(path)] = value
         return replace(cfg, lockdown_degrees=ld.tolist())
     if path in _SCALAR_FIELDS:
         return replace(cfg, **{path: value})
     raise ValidationError(f"unknown sweep field path {path!r}")
+
+
+def _lockdown_rows(path: str) -> list[BehaviorClass]:
+    """The lockdown rows that the sweep path ``lockdown.<key>`` writes.
+
+    ``all`` writes every row; a behavior class name, read case-blind, its own.
+    """
+    key = path[len("lockdown.") :]
+    if key == "all":
+        return list(BehaviorClass)
+    if key.upper() not in BehaviorClass.__members__:
+        raise ValidationError(
+            f"unknown behavior class in sweep path {path!r}; "
+            "use healthy, symptomatic, recovered or all"
+        )
+    return [BehaviorClass[key.upper()]]
 
 
 def sweep(grid, base: ScenarioConfig) -> list[ScenarioConfig]:
@@ -392,15 +397,26 @@ def sweep(grid, base: ScenarioConfig) -> list[ScenarioConfig]:
     ``grid`` is a sequence of ``(field_path, values)`` pairs; paths address
     model parameters (``params.alpha``), lockdown rows
     (``lockdown.healthy``) or plain scenario fields (``horizon``), each at
-    most once. An empty grid yields just the base configuration.
+    most once; no two paths may write one lockdown row (``lockdown.all``
+    writes all three). An empty grid yields just the base configuration.
     """
     grid = list(grid)
     if not grid:
         return [base]
     paths = [path for path, _ in grid]
+    writer = {}  # lockdown row -> the path that writes it
     for path in paths:
         if paths.count(path) > 1:
             raise ValidationError(f"sweep field path {path!r} is given more than once")
+        if not path.startswith("lockdown."):
+            continue
+        for row in _lockdown_rows(path):
+            if row in writer:
+                raise ValidationError(
+                    f"sweep field paths {writer[row]!r} and {path!r} both set "
+                    f"the lockdown row {row.name.lower()}"
+                )
+            writer[row] = path
     value_lists = [list(values) for _, values in grid]
     out = []
     for combo in itertools.product(*value_lists):

@@ -18,6 +18,8 @@ and a checked distribution. The last tests show that the derived values
 meet the container conditions by construction.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,12 @@ from epigame import (
     EncounterProbs,
     NumericsError,
     Policy,
+    RewardConfig,
     StateDistribution,
     TransitionKernel,
     ValidationError,
+    preset,
+    simulate,
 )
 from epigame.core import (
     CLASS_OF_STATE,
@@ -39,6 +44,7 @@ from epigame.core import (
     action_degrees,
     policy_rows,
 )
+from epigame.decision import DayPlan
 from epigame.epidemic import (
     activity_arrays,
     check_kernel,
@@ -369,8 +375,28 @@ def test_distribution_matches_the_separate_checks():
         (lambda x: Policy(x, 1), "class_rows", np.full((NUM_CLASSES, 1, 2), 0.5)),
         (StateDistribution, "d", np.full((NUM_STATES, 1), 0.2)),
         (lambda x: TransitionKernel(x, 1), "matrix", np.full((NUM_STATES, NUM_STATES), 0.2)),
+        (lambda x: RewardConfig(x, np.zeros((NUM_STATES, 1, 2)), 0.0, 0.0), "benefit",
+         np.array([0.0, 0.5])),
+        (lambda x: RewardConfig(np.array([0.0, 0.5]), x, 0.0, 0.0), "activation_cost",
+         np.full((NUM_STATES, 1, 2), 0.25)),
+        (lambda x: ActivityMasses(x, [0.0], [0.0]), "total", np.array([0.5])),
+        (lambda x: ActivityMasses([1.0], x, [0.0]), "asymptomatic", np.array([0.25])),
+        (lambda x: ActivityMasses([1.0], [0.0], x), "symptomatic", np.array([0.25])),
+        (lambda x: EncounterProbs(x, [0.0], [0.0]), "no_partner", np.array([0.25])),
+        (lambda x: EncounterProbs([0.0], x, [0.0]), "asymptomatic", np.array([0.25])),
+        (lambda x: EncounterProbs([0.0], [0.0], x), "symptomatic", np.array([0.25])),
+        (lambda x: replace(preset("fig2b"), lockdown_degrees=x), "lockdown_degrees",
+         np.array([[2], [2], [6]])),
+        (lambda x: replace(preset("fig2b"), initial_dist=x), "initial_dist",
+         np.array([[0.97], [0.02], [0.01], [0.0], [0.0]])),
+        (lambda x: replace(preset("fig2b"), benefit=x), "benefit", np.arange(7.0) / 6.0),
     ],
-    ids=["Policy", "StateDistribution", "TransitionKernel"],
+    ids=["Policy", "StateDistribution", "TransitionKernel",
+         "RewardConfig.benefit", "RewardConfig.activation_cost",
+         "ActivityMasses.total", "ActivityMasses.asymptomatic", "ActivityMasses.symptomatic",
+         "EncounterProbs.no_partner", "EncounterProbs.asymptomatic",
+         "EncounterProbs.symptomatic", "ScenarioConfig.lockdown_degrees",
+         "ScenarioConfig.initial_dist", "ScenarioConfig.benefit"],
 )
 def test_containers_store_a_read_only_array_of_their_own(build, stored, given):
     before = given.copy()
@@ -382,6 +408,21 @@ def test_containers_store_a_read_only_array_of_their_own(build, stored, given):
     assert not kept.flags.writeable
     given[...] = 0.0
     assert kept.tobytes() == before.tobytes()
+
+
+def test_derived_tables_and_run_columns_are_read_only():
+    scenario = replace(preset("fig4_migration"), horizon=3)
+    table = scenario.reward_config().table
+    plan = DayPlan(table, scenario.params)
+    traj = simulate(scenario).trajectory
+    kept = {
+        "RewardConfig.table": table,
+        **{f"DayPlan.{name}": getattr(plan, name)
+           for name in ("degrees", "powers", "law", "penalty", "class_table")},
+        **{f"Trajectory.{name}": getattr(traj, name)
+           for name in ("dist", "activation", "flows", "daily_welfare")},
+    }
+    assert [name for name, arr in kept.items() if arr.flags.writeable] == []
 
 
 # --- derived values: in range by construction -----------------------------------

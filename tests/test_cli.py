@@ -445,6 +445,12 @@ def test_sweep_input_errors(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--grid", "params.alpha=0.1,0.2",
                  "--grid", "params.alpha=0.5", "--out", str(tmp_path / "twice")]) == 1
     assert "'params.alpha' is given more than once" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(cfg_path), "--grid", "lockdown.recovered=5",
+                 "--grid", "lockdown.all=6", "--horizon", "3", "--jobs", "1",
+                 "--out", str(tmp_path / "overlap")]) == 1
+    err = capsys.readouterr().err
+    assert "'lockdown.recovered' and 'lockdown.all' both set" in err
+    assert not (tmp_path / "overlap").exists()
     assert main(["sweep", "--config", str(cfg_path), "--grid", "horizon=3,4",
                  "--horizon", "6", "--out", str(tmp_path / "both")]) == 1
     assert "--horizon cannot be combined with the grid path 'horizon'" in capsys.readouterr().err

@@ -131,7 +131,7 @@ def test_day_terms_match_the_public_pieces():
         social = random_social(rng, p)
         d = social.dist.d
         plan = DayPlan(cfg.table, p)
-        matrix, stay, values = plan.terms(*plan.state_rewards(social.policy.class_rows), d)
+        matrix, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
         expected_kernel, expected_values = solved_value(social, cfg, p)
         if num_zones >= decision.BLOCK_SOLVE_MIN_ZONES:
             rewards = expected_reward(social.policy, cfg)
@@ -162,8 +162,9 @@ def test_the_day_cores_values_match_the_dense_solve():
         cfg = random_reward_config(rng, p)
         social = random_social(rng, p)
         plan = DayPlan(cfg.table, p)
-        rows, rewards = plan.state_rewards(social.policy.class_rows)
-        matrix, stay, values = plan.terms(rows, rewards, social.dist.d)
+        rows = plan.state_rewards(social.policy.class_rows)
+        matrix, stay, values = plan.terms(rows, social.dist.d)
+        rewards = rows.rewards
         assert np.array_equal(values, plan.values(matrix, rewards))
         dense = value_function(TransitionKernel(matrix, num_zones), rewards, p)
         by_state = num_zones >= decision.BLOCK_SOLVE_MIN_ZONES
@@ -182,7 +183,7 @@ def test_the_days_mean_degree_is_the_policys():
     for num_zones, a_max in ((1, 0), (1, 6), (2, 3), (6, 8), (40, 6)):
         p = make_params(num_zones=num_zones, a_max=a_max)
         policy = random_social(rng, p).policy
-        rows, _ = DayPlan(random_reward_config(rng, p).table, p).state_rewards(policy.class_rows)
+        rows = DayPlan(random_reward_config(rng, p).table, p).state_rewards(policy.class_rows)
         assert np.array_equal(rows.mean_degree, policy.mean_degrees())
 
 
@@ -356,6 +357,31 @@ def test_class_q_rejects_unknown_mode():
         check_healthy_q("optimistic")
     with pytest.raises(ValidationError, match="healthy_q"):
         logit_choice(q, d, make_params(num_zones=1, a_max=1), healthy_q="optimistic")
+
+
+def test_q_function_and_logit_choice_read_tables_by_the_entry_rule():
+    rng = np.random.default_rng(29)
+    p = make_params(num_zones=2, a_max=3)
+    cfg = random_reward_config(rng, p)
+    social = random_social(rng, p)
+    for values, match in (
+        ([[True, True]] * NUM_STATES, "values entries must be numbers; got bool"),
+        ([["x", "x"]] * NUM_STATES, "values entries must be numbers; got str"),
+        (np.full((NUM_STATES, 2), np.nan), "values contains non-finite"),
+        (np.zeros((NUM_STATES, 1)), "values must be a table of shape"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            q_function(social, values, cfg, p)
+    q, d = np.zeros((NUM_STATES, 2, p.num_actions)), social.dist.d
+    for q_arg, d_arg, match in (
+        (q[..., :-1], d, "q must be a table of shape"),
+        (q.astype(bool), d, "q entries must be numbers; got bool"),
+        (np.full(q.shape, np.nan), d, "q contains non-finite"),
+        (q, d[:, :1], "dist_table must be a table of shape"),
+        (q, np.full(d.shape, "x"), "dist_table entries must be numbers; got str"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            logit_choice(q_arg, d_arg, p)
 
 
 # --- logit choice -----------------------------------------------------------------

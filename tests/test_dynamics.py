@@ -319,8 +319,8 @@ def test_observed_flows_and_activation_match_loops_over_actions():
         p = make_params(num_zones=zones, a_max=a_max)
         social = SocialState(Policy(class_rows, a_max), StateDistribution(d))
         plan = decision.DayPlan(random_reward_config(rng, p).table, p)
-        rows, rewards = plan.state_rewards(social.policy.class_rows)
-        _, activation, flow, _ = dynamics._observe(social, rows, rewards)
+        rows = plan.state_rewards(social.policy.class_rows)
+        _, activation, flow, _ = dynamics._observe(social, rows)
         state_rows = social.policy.state_rows()
         expected_flow = np.zeros((zones, zones))
         for s in range(NUM_STATES):
@@ -420,7 +420,7 @@ def test_replayed_records_match_the_run_columns(scenario):
         assert rec.day == day
         assert np.array_equal(rec.social.dist.d, traj.dist[day])
         assert np.array_equal(rec.social.policy.class_rows @ plan.degrees, traj.activation[day])
-        rows, rewards = plan.state_rewards(rec.social.policy.class_rows)
+        rewards = plan.state_rewards(rec.social.policy.class_rows).rewards
         assert float(np.sum(rec.social.dist.d * rewards)) == traj.daily_welfare[day]
 
 

@@ -99,6 +99,12 @@ def test_lockdown_rejects_bad_degrees_and_multiplier():
         lockdown_cost(np.array([[2], [0]]), o)  # one class row missing
     with pytest.raises(ValidationError):
         lockdown_cost(np.array([[2], [0], [6]]), o, multiplier=0.0)
+    with pytest.raises(ValidationError, match="lockdown_degrees entries must be numbers; got bool"):
+        lockdown_cost([[True]] * 3, [0, 1, 2])
+    with pytest.raises(ValidationError, match="lockdown_degrees entries must be numbers; got str"):
+        lockdown_cost([["2"], ["0"], ["6"]], o)
+    with pytest.raises(ValidationError, match="benefit entries must be numbers; got str"):
+        lockdown_cost(np.array([[2], [0], [2]]), ["0", "0.5", "1"])
 
 
 @pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), -float("inf"), True, "x"])
@@ -118,6 +124,10 @@ def test_reward_config_rejects_bad_benefit():
         RewardConfig(np.array([0.0, 0.6, 0.5]), cost, 0.0, 0.0)
     with pytest.raises(ValidationError):
         RewardConfig(np.array([0.0, -0.1, 0.5]), cost, 0.0, 0.0)
+    with pytest.raises(ValidationError, match="benefit entries must be numbers; got bool"):
+        RewardConfig([False, True, True], cost, 0.0, 0.0)
+    with pytest.raises(ValidationError, match="benefit entries must be numbers; got str"):
+        RewardConfig(["x", 0.5, 1.0], cost, 0.0, 0.0)
 
 
 def test_reward_config_rejects_bad_costs():
@@ -137,6 +147,11 @@ def test_reward_config_rejects_bad_costs():
     cheap_illness[InfectionState.I, 0] = [0.0, 0.1, 0.2]
     with pytest.raises(ValidationError):
         RewardConfig(o, cheap_illness, 0.0, 0.0)
+
+    with pytest.raises(ValidationError, match="activation_cost entries must be numbers; got bool"):
+        RewardConfig(o, np.zeros((NUM_STATES, 1, 3), dtype=bool), 0.0, 0.0)
+    with pytest.raises(ValidationError, match="activation_cost entries must be numbers; got str"):
+        RewardConfig(o, np.full((NUM_STATES, 1, 3), "0"), 0.0, 0.0)
 
     costly_recovery = np.zeros((NUM_STATES, 1, 3))
     costly_recovery[InfectionState.R, 0] = [0.0, 0.1, 0.2]

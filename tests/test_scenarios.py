@@ -360,3 +360,10 @@ def test_sweep_rejects_unknown_paths_and_invalid_values():
         sweep([("lockdown.healthy", [1])], base)  # below the symptomatic row
     with pytest.raises(ValidationError, match="'params.alpha' is given more than once"):
         sweep([("params.alpha", [0.1, 0.2]), ("params.alpha", [0.5])], base)
+    # Two paths that write one lockdown row: lockdown.all with a class, or one class twice.
+    fig4 = preset("fig4_migration")
+    for first, second in (("lockdown.recovered", "lockdown.all"),
+                          ("lockdown.all", "lockdown.healthy"),
+                          ("lockdown.recovered", "lockdown.RECOVERED")):
+        with pytest.raises(ValidationError, match=f"'{first}' and '{second}' both set"):
+            sweep([(first, [6]), (second, [5])], fig4)
