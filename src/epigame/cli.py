@@ -52,6 +52,7 @@ from .core import (
     SocialState,
     StateDistribution,
     ValidationError,
+    checked_index,
     is_integer,
     numeric_table,
 )
@@ -386,9 +387,7 @@ def _parse_mass_split(entries: str, num_zones: int) -> np.ndarray:
                 f"bad --split entry {item!r}; expected STATE:ZONE=MASS, e.g. S:0=0.9"
             )
         state = InfectionState[match.group(1)]
-        zone = int(match.group(2))
-        if zone >= num_zones:
-            raise ValidationError(f"--split zone {zone} out of range for {num_zones} zones")
+        zone = checked_index("--split zone", int(match.group(2)), num_zones)
         split[state, zone] += float(match.group(3))
     return split
 

@@ -124,17 +124,21 @@ def is_real(value) -> bool:
 
 
 def numeric_table(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as a read-only float array of ``shape``; anything but numbers is rejected."""
-    arr = np.array(value, dtype=object)  # ragged nesting keeps its lists as entries
+    """``value`` as a read-only float array of its own, of ``shape``, by :func:`float_entries`."""
+    # Ragged nesting keeps its lists as entries, so the shape is tested first.
+    arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
     _require(arr.shape == shape, f"{name} must be a table of shape {shape}; got {arr.shape}")
-    arr = float_entries(name, arr)
+    arr = np.array(float_entries(name, arr))  # a copy: float64 input comes back as it is
     _require(bool(np.all(np.isfinite(arr))), f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
 
 
-def float_entries(name: str, arr: np.ndarray) -> np.ndarray:
-    """The object array ``arr`` as floats; bools and anything but numbers are rejected."""
+def float_entries(name: str, value) -> np.ndarray:
+    """``value`` as floats, float64 arrays uncopied; bools and other non-numbers are rejected."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float, copy=False)
+    arr = np.asarray(value, dtype=object)
     bad = sorted(
         kind.__name__
         for kind in set(map(type, arr.flat))  # one check per entry type, not per entry
@@ -142,6 +146,21 @@ def float_entries(name: str, arr: np.ndarray) -> np.ndarray:
     )
     _require(not bad, f"{name} entries must be numbers; got {', '.join(bad)} entries")
     return arr.astype(float)
+
+
+def checked_index(name: str, value, size: int) -> int:
+    """The index rule: ``value`` as an int in [0, size); bools and non-integers are rejected."""
+    if not (is_integer(value) and 0 <= value < size):
+        raise ValidationError(f"{name} must be an integer in [0, {size}); got {value!r}")
+    return int(value)
+
+
+def same_dims(name: str, first, other: str, second) -> None:
+    """Raise unless ``first`` and ``second`` share ``num_zones``, and ``a_max`` if both have one."""
+    for key in ("num_zones", "a_max"):
+        mine, theirs = getattr(first, key, None), getattr(second, key, None)
+        if mine != theirs and None not in (mine, theirs):
+            raise ValidationError(f"{name} {key}={mine} does not match {other} {key}={theirs}")
 
 
 def store(container, **values) -> None:
@@ -191,28 +210,23 @@ def validate_params(p: ModelParams) -> ModelParams:
 
 def flatten_state(s: InfectionState | int, z: int, num_zones: int) -> int:
     """Map (infection state, zone) to the zone-major flat index ``5*z + s``."""
-    _require(0 <= int(s) < NUM_STATES, f"infection state out of range: {s}")
-    _require(0 <= z < num_zones, f"zone {z} out of range for {num_zones} zones")
-    return NUM_STATES * z + int(s)
+    s = checked_index("infection state", s, NUM_STATES)
+    return NUM_STATES * checked_index("zone", z, num_zones) + s
 
 
 def unflatten_state(index: int, num_zones: int) -> tuple[InfectionState, int]:
-    _require(0 <= index < NUM_STATES * num_zones, f"state index out of range: {index}")
+    index = checked_index("state index", index, NUM_STATES * num_zones)
     return InfectionState(index % NUM_STATES), index // NUM_STATES
 
 
 def flatten_action(a: int, target: int, a_max: int, num_zones: int) -> int:
     """Map (degree, target zone) to the flat index ``(a_max+1)*target + a``."""
-    _require(0 <= a <= a_max, f"activation degree {a} out of range [0, {a_max}]")
-    _require(0 <= target < num_zones, f"target zone {target} out of range for {num_zones} zones")
-    return (a_max + 1) * target + a
+    a = checked_index("activation degree", a, a_max + 1)
+    return (a_max + 1) * checked_index("target zone", target, num_zones) + a
 
 
 def unflatten_action(index: int, a_max: int, num_zones: int) -> tuple[int, int]:
-    _require(
-        0 <= index < (a_max + 1) * num_zones,
-        f"action index out of range: {index}",
-    )
+    index = checked_index("action index", index, (a_max + 1) * num_zones)
     return index % (a_max + 1), index // (a_max + 1)
 
 
@@ -246,7 +260,7 @@ class StateDistribution:
     d: np.ndarray  # (5, Z)
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=float)
+        d = float_entries("distribution", self.d)
         if d.ndim != 2 or d.shape[0] != NUM_STATES:
             raise ValidationError(f"distribution must have shape (5, Z); got {d.shape}")
         # One test of all conditions first (an infinite entry makes the total infinite).
@@ -293,7 +307,7 @@ class Policy:
     a_max: int
 
     def __post_init__(self) -> None:
-        store(self, class_rows=policy_rows(np.asarray(self.class_rows, dtype=float), self.a_max))
+        store(self, class_rows=policy_rows(self.class_rows, self.a_max))
 
     @property
     def num_zones(self) -> int:
@@ -304,11 +318,12 @@ class Policy:
         return self.class_rows.shape[2]
 
     def class_row(self, cls: BehaviorClass | int, z: int) -> np.ndarray:
-        return self.class_rows[int(cls), z]
+        cls = checked_index("behavior class", cls, NUM_CLASSES)
+        return self.class_rows[cls, checked_index("zone", z, self.num_zones)]
 
     def row(self, s: InfectionState | int, z: int) -> np.ndarray:
         """Action distribution of an agent in infection state ``s``, zone ``z``."""
-        return self.class_rows[CLASS_OF_STATE[int(s)], z]
+        return self.class_row(CLASS_OF_STATE[checked_index("infection state", s, NUM_STATES)], z)
 
     def state_rows(self) -> np.ndarray:
         """Expanded (5, Z, num_actions) view; healthy states share one row."""
@@ -321,7 +336,8 @@ class Policy:
 
 
 def policy_rows(rows: np.ndarray, a_max: int) -> np.ndarray:
-    """Float ``rows`` (3, Z, J) over their row sums, once every :class:`Policy` invariant holds."""
+    """``rows`` (3, Z, J) over their row sums, once every :class:`Policy` invariant holds."""
+    rows = float_entries("policy rows", rows)
     if rows.ndim != 3 or rows.shape[0] != NUM_CLASSES:
         raise ValidationError(f"policy rows must have shape (3, Z, J); got {rows.shape}")
     zones = rows.shape[1]
@@ -356,11 +372,7 @@ class SocialState:
     dist: StateDistribution
 
     def __post_init__(self) -> None:
-        if self.policy.num_zones != self.dist.num_zones:
-            raise ValidationError(
-                f"policy covers {self.policy.num_zones} zones but distribution "
-                f"covers {self.dist.num_zones}"
-            )
+        same_dims("policy", self.policy, "distribution", self.dist)
 
 
 def no_move_rows(p: ModelParams) -> np.ndarray:

@@ -26,9 +26,12 @@ from .core import (
     SocialState,
     ValidationError,
     action_degrees,
+    checked_index,
     flatten_state_table,
+    float_entries,
     numeric_table,
     policy_rows,
+    same_dims,
     store,
     unflatten_state_table,
 )
@@ -82,6 +85,7 @@ def value_function(
     Solves ``(I - alpha * P) V = R`` directly; the system is small and
     strictly diagonally dominant for ``alpha < 1``.
     """
+    same_dims("kernel", kernel, "parameters", p)
     rewards = numeric_table("expected rewards", expected_rewards, (NUM_STATES, p.num_zones))
     return solve_values(kernel.matrix, rewards, p.alpha)
 
@@ -194,6 +198,7 @@ def q_function(
     The agent picks (degree, target zone) today and reverts to the shared
     policy tomorrow, so tomorrow is priced by ``values`` at the target zone.
     """
+    same_dims("reward config", cfg, "parameters", p)
     values = numeric_table("values", values, (NUM_STATES, p.num_zones))
     return lookahead_q(survival(social, p), values, cfg.table, idle_law(p), p.alpha)
 
@@ -320,8 +325,13 @@ def best_response(
     feasible: np.ndarray | None = None,
 ) -> np.ndarray:
     """Flat indices of the :func:`tied` best ``feasible`` actions of state ``s`` in zone ``z``."""
-    row = np.asarray(q)[int(s), z]
-    allowed = np.ones(row.shape, dtype=bool) if feasible is None else np.asarray(feasible, bool)
+    q = float_entries("q", q)
+    if q.ndim != 3:
+        raise ValidationError(f"q must be a (states, zones, actions) table; got shape {q.shape}")
+    row = q[checked_index("infection state", s, len(q)), checked_index("zone", z, q.shape[1])]
+    allowed = np.ones(row.shape, dtype=bool) if feasible is None else np.asarray(feasible)
+    if allowed.dtype != bool or allowed.shape != row.shape or not allowed.any():
+        raise ValidationError(f"feasible must be a {row.shape} bool mask allowing an action")
     return np.flatnonzero(allowed)[tied(row[allowed])]
 
 
@@ -416,6 +426,5 @@ def policy_update(current: Policy, target: Policy, inertia: float) -> Policy:
     """Inertial step from ``current`` toward ``target``."""
     if not 0.0 < inertia <= 1.0:
         raise ValidationError(f"inertia must lie in (0, 1]; got {inertia}")
-    if current.num_zones != target.num_zones or current.a_max != target.a_max:
-        raise ValidationError("policies being blended have different dimensions")
+    same_dims("current policy", current, "target policy", target)
     return Policy(blend(current.class_rows, target.class_rows, inertia), current.a_max)

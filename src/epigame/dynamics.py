@@ -19,12 +19,15 @@ import numpy as np
 
 from .core import (
     CLASS_OF_STATE,
+    NUM_CLASSES,
     InfectionState,
     ModelParams,
     Policy,
     SocialState,
     StateDistribution,
     ValidationError,
+    checked_index,
+    float_entries,
     is_real,
     store,
 )
@@ -124,7 +127,9 @@ class Trajectory:
     def infected(self, zone: int | None = None) -> np.ndarray:
         """Symptomatic mass per day, for one zone or summed over all."""
         series = self.dist[:, InfectionState.I, :]
-        return series[:, zone] if zone is not None else series.sum(axis=1)
+        if zone is None:
+            return series.sum(axis=1)
+        return series[:, checked_index("zone", zone, self.num_zones)]
 
     def active(self) -> np.ndarray:
         """Infected mass (A plus I) per day."""
@@ -140,10 +145,13 @@ class Trajectory:
         return self.daily_welfare
 
     def mean_activation(self, cls: int, zone: int) -> np.ndarray:
-        return self.activation[:, cls, zone]
+        cls = checked_index("behavior class", cls, NUM_CLASSES)
+        return self.activation[:, cls, checked_index("zone", zone, self.num_zones)]
 
     def net_flow(self, src: int, dst: int) -> np.ndarray:
         """Net daily migration mass from ``src`` to ``dst``."""
+        src = checked_index("src", src, self.num_zones)
+        dst = checked_index("dst", dst, self.num_zones)
         return self.flows[:, src, dst] - self.flows[:, dst, src]
 
     def final(self) -> StepRecord:
@@ -325,7 +333,7 @@ def infection_waves(series, prominence: float = WAVE_PROMINENCE) -> tuple[bool, 
         raise ValidationError(
             f"wave prominence must be a finite positive number; got {prominence!r}"
         )
-    x = np.asarray(series, dtype=float)
+    x = float_entries("wave series", series)
     if x.ndim != 1 or x.size == 0:
         raise ValidationError("wave detection needs a nonempty one-dimensional series")
 
@@ -357,6 +365,4 @@ def detect_second_wave(
     traj: Trajectory, zone: int, prominence: float = WAVE_PROMINENCE
 ) -> tuple[bool, tuple[int, ...]]:
     """Wave detection on a zone's symptomatic-mass series."""
-    if not 0 <= zone < traj.num_zones:
-        raise ValidationError(f"zone {zone} out of range for {traj.num_zones} zones")
-    return infection_waves(traj.infected(zone), prominence)
+    return infection_waves(traj.infected(checked_index("zone", zone, traj.num_zones)), prominence)

@@ -26,8 +26,10 @@ from .core import (
     StateDistribution,
     ValidationError,
     action_degrees,
+    checked_index,
     flatten_state_table,
     float_entries,
+    same_dims,
     store,
     unflatten_state_table,
 )
@@ -75,12 +77,13 @@ class TransitionKernel:
     num_zones: int
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
+        m = np.array(float_entries("kernel", self.matrix))  # a copy of its own
         check_kernel(m, self.num_zones)
         store(self, matrix=m)
 
     def propagate(self, dist: StateDistribution) -> np.ndarray:
         """One day of mass transport; returns the raw (5, Z) product."""
+        same_dims("distribution", dist, "kernel", self)
         return propagate_mass(dist.d, self.matrix)
 
 
@@ -93,7 +96,7 @@ def _stored_fields(container, kind: str):
     """
     first = None
     for f in fields(container):
-        arr = float_entries(f"{kind} {f.name}", np.array(getattr(container, f.name), dtype=object))
+        arr = np.array(float_entries(f"{kind} {f.name}", getattr(container, f.name)))
         if arr.ndim != 1:
             raise ValidationError(f"{kind} {f.name} must be one-dimensional")
         if first is None:
@@ -142,6 +145,7 @@ def class_marginals(class_rows: np.ndarray, degrees: np.ndarray) -> tuple[np.nda
 
 def policy_marginals(social: SocialState, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """:func:`class_marginals` of the social state's policy."""
+    same_dims("policy", social.policy, "parameters", p)
     return class_marginals(
         social.policy.class_rows, action_degrees(p.a_max, p.num_zones).astype(float)
     )
@@ -206,11 +210,9 @@ def infection_transition(
     ``a`` contacts independently infects with probability ``beta_A`` or
     ``beta_I`` depending on the partner drawn.
     """
-    if not 0 <= a <= p.a_max:
-        raise ValidationError(f"activation degree {a} out of range [0, {p.a_max}]")
-    if not 0 <= z < p.num_zones:
-        raise ValidationError(f"zone {z} out of range for {p.num_zones} zones")
-    s = InfectionState(int(s))
+    a = checked_index("activation degree", a, p.a_max + 1)
+    z = checked_index("zone", z, p.num_zones)
+    s = InfectionState(checked_index("infection state", s, NUM_STATES))
     out = idle_law(p)[s]
     if s == InfectionState.S:
         pressure = p.beta_A * probs.asymptomatic[z] + p.beta_I * probs.symptomatic[z]
@@ -258,8 +260,7 @@ def state_transition(
     Infection resolves in the current zone; relocation to ``target`` is
     deterministic. Returns a (5, Z) table.
     """
-    if not 0 <= target < p.num_zones:
-        raise ValidationError(f"target zone {target} out of range for {p.num_zones} zones")
+    target = checked_index("target zone", target, p.num_zones)
     probs = encounter_probs(activity_masses(social, p), p)
     out = np.zeros((NUM_STATES, p.num_zones))
     out[:, target] = infection_transition(s, z, a, probs, p)

@@ -29,9 +29,11 @@ from .core import (
     SocialState,
     StateDistribution,
     ValidationError,
+    checked_index,
     flatten_action,
     is_real,
     numeric_table,
+    same_dims,
 )
 from .decision import DayPlan, feasible_actions, lookahead_q, tied
 from .epidemic import propagate_mass
@@ -118,9 +120,8 @@ def dominant_activation(
     s: InfectionState | int = InfectionState.R,
 ) -> tuple[int, ...]:
     """Degrees maximizing the activation reward for state ``s`` in zone ``z``."""
-    if not 0 <= z < cfg.num_zones:
-        raise ValidationError(f"zone {z} out of range for {cfg.num_zones} zones")
-    net = cfg.benefit - cfg.activation_cost[int(s), z]
+    s = checked_index("infection state", s, NUM_STATES)
+    net = cfg.benefit - cfg.activation_cost[s, checked_index("zone", z, cfg.num_zones)]
     return tuple(int(a) for a in np.flatnonzero(tied(net)))
 
 
@@ -140,8 +141,7 @@ def construct_equilibrium(
     stays put outside leave zones, and migrates uniformly to the best
     zones from inside them.
     """
-    if cfg.num_zones != p.num_zones or cfg.a_max != p.a_max:
-        raise ValidationError("reward config dimensions do not match the parameters")
+    same_dims("reward config", cfg, "parameters", p)
 
     # Per-class activation optima over the feasible degrees (those of the
     # actions targeting zone 0); the symptomatic class may be confined.

@@ -17,8 +17,10 @@ from .core import (
     ValidationError,
     action_degrees,
     action_targets,
+    checked_index,
     float_entries,
     is_real,
+    same_dims,
     store,
 )
 
@@ -42,7 +44,7 @@ class RewardConfig:
     table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        o = float_entries("benefit", np.array(self.benefit, dtype=object))
+        o = np.array(float_entries("benefit", self.benefit))  # copies of its own
         if o.ndim != 1 or o.size < 1:
             raise ValidationError(f"benefit must be a nonempty vector; got shape {o.shape}")
         if not np.all(np.isfinite(o)) or np.any(o < 0.0):
@@ -52,7 +54,7 @@ class RewardConfig:
         if np.any(np.diff(o) < 0.0):
             raise ValidationError("benefit must be nondecreasing in the degree")
 
-        c = float_entries("activation_cost", np.array(self.activation_cost, dtype=object))
+        c = np.array(float_entries("activation_cost", self.activation_cost))
         if c.ndim != 3 or c.shape[0] != NUM_STATES or c.shape[2] != o.size:
             raise ValidationError(
                 f"activation cost must have shape (5, Z, {o.size}); got {c.shape}"
@@ -114,12 +116,11 @@ def lockdown_cost(
     exceeding it costs ``multiplier`` times the benefit of the chosen
     degree, so overshooting is never worth it for ``multiplier > 1``.
     """
-    ld = np.array(lockdown_degrees, dtype=object)
-    o = float_entries("benefit", np.array(benefit, dtype=object))
+    ld = float_entries("lockdown_degrees", lockdown_degrees)
+    o = float_entries("benefit", benefit)
     a_max = o.size - 1
     if ld.ndim != 2 or ld.shape[0] != NUM_CLASSES:
         raise ValidationError(f"lockdown_degrees must have shape (3, Z); got {ld.shape}")
-    ld = float_entries("lockdown_degrees", ld)
     if np.any(ld != np.floor(ld)) or np.any(ld < 0) or np.any(ld > a_max):
         raise ValidationError(f"lockdown_degrees must be integers in [0, {a_max}]")
     if not is_real(multiplier) or multiplier <= 0.0:
@@ -151,11 +152,10 @@ def immediate_reward(
     cfg: RewardConfig,
 ) -> float:
     """Reward of one agent's day: benefit net of lockdown, moving and illness."""
-    if not 0 <= a <= cfg.a_max:
-        raise ValidationError(f"activation degree {a} out of range [0, {cfg.a_max}]")
-    if not (0 <= z < cfg.num_zones and 0 <= target < cfg.num_zones):
-        raise ValidationError(f"zone pair ({z}, {target}) out of range")
-    s = InfectionState(int(s))
+    a = checked_index("activation degree", a, cfg.a_max + 1)
+    z = checked_index("zone", z, cfg.num_zones)
+    target = checked_index("target zone", target, cfg.num_zones)
+    s = InfectionState(checked_index("infection state", s, NUM_STATES))
     value = float(cfg.benefit[a] - cfg.activation_cost[s, z, a])
     if target != z:
         value -= cfg.migration_cost
@@ -166,11 +166,7 @@ def immediate_reward(
 
 def expected_reward(policy: Policy, cfg: RewardConfig) -> np.ndarray:
     """Per-(state, zone) expected one-day reward under the policy; shape (5, Z)."""
-    if policy.num_zones != cfg.num_zones or policy.a_max != cfg.a_max:
-        raise ValidationError(
-            f"policy dimensions ({policy.num_zones} zones, a_max={policy.a_max}) do not "
-            f"match reward config ({cfg.num_zones} zones, a_max={cfg.a_max})"
-        )
+    same_dims("policy", policy, "reward config", cfg)
     return class_expected_rewards(policy.class_rows, class_reward_table(cfg.table))
 
 

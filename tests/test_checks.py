@@ -9,8 +9,9 @@ check must raise the same exception type and message as its oracle on
 valid inputs and on corrupted copies of them. The recorded differences are
 tightenings the oracles let through: ``EncounterProbs`` rejects NaN entries,
 both table containers reject fields of different lengths and entries that
-are bools or not numbers, and ``EncounterProbs`` rejects fields that are
-not one-dimensional.
+are bools or not numbers, ``EncounterProbs`` rejects fields that are
+not one-dimensional, and ``TransitionKernel``, ``Policy`` and
+``StateDistribution`` reject entries that are bools or not numbers.
 
 The day core no longer builds those two containers: ``survival_table``
 derives the activity masses and encounter probabilities from checked rows
@@ -320,6 +321,22 @@ def build_kernel(m, zones):
     TransitionKernel(m, zones)
 
 
+def build_policy(rows, a_max):
+    Policy(rows, a_max)
+
+
+def with_entry(x, entry, rng):
+    """``x`` as nested lists with one random entry replaced by ``entry``."""
+    bad = np.array(x, dtype=object)
+    bad[tuple(int(rng.integers(n)) for n in bad.shape)] = entry
+    return bad.tolist()
+
+
+#: Entries that are bools or not numbers: tightened for the kernel, the policy
+#: and the distribution, where numpy coerced bools and strings of numbers.
+NOT_NUMBERS = ((True, "bool"), (np.True_, "bool"), ("0.5", "str"), (None, "NoneType"))
+
+
 def test_kernel_check_matches_the_separate_checks():
     rng = np.random.default_rng(1103)
     for _ in range(CASES):
@@ -332,6 +349,11 @@ def test_kernel_check_matches_the_separate_checks():
             assert outcome(build_kernel, bad, zones) == outcome(oracle_kernel, bad, zones)
         for bad, z in ((m[:, 1:], zones), (m, zones + 1)):
             assert outcome(check_kernel, bad, z) == outcome(oracle_kernel, bad, z)
+    for entry, kind_name in NOT_NUMBERS:
+        message = f"kernel entries must be numbers; got {kind_name} entries"
+        assert outcome(build_kernel, with_entry(m, entry, rng), zones) == (ValidationError, message)
+    message = "kernel entries must be numbers; got bool entries"
+    assert outcome(build_kernel, np.eye(NUM_STATES, dtype=bool), 1) == (ValidationError, message)
     empty = np.empty((0, 0))
     assert outcome(check_kernel, empty, 0) == outcome(oracle_kernel, empty, 0)
 
@@ -347,6 +369,12 @@ def test_policy_rows_match_the_separate_checks():
             assert outcome(policy_rows, bad, a_max) == outcome(oracle_policy_rows, bad, a_max)
         for bad, a in ((rows[1:], a_max), (rows, a_max + 1), (rows[0], a_max)):
             assert outcome(policy_rows, bad, a) == outcome(oracle_policy_rows, bad, a)
+    for entry, kind_name in NOT_NUMBERS:
+        message = f"policy rows entries must be numbers; got {kind_name} entries"
+        bad = with_entry(rows, entry, rng)
+        assert outcome(build_policy, bad, a_max) == (ValidationError, message)
+    message = "policy rows entries must be numbers; got bool entries"
+    assert outcome(build_policy, [[[True, False]]] * NUM_CLASSES, 1) == (ValidationError, message)
     for a_max in (0, 2):
         empty = np.empty((NUM_CLASSES, 0, 0))
         assert outcome(policy_rows, empty, a_max) == outcome(oracle_policy_rows, empty, a_max)
@@ -362,6 +390,12 @@ def test_distribution_matches_the_separate_checks():
             assert outcome(StateDistribution, bad) == outcome(oracle_distribution, bad)
         for bad in (d[1:], d[:, 0], d[:, :, None]):
             assert outcome(StateDistribution, bad) == outcome(oracle_distribution, bad)
+    for entry, kind_name in NOT_NUMBERS:
+        message = f"distribution entries must be numbers; got {kind_name} entries"
+        assert outcome(StateDistribution, with_entry(d, entry, rng)) == (ValidationError, message)
+    message = "distribution entries must be numbers; got bool entries"
+    bools = [[True]] + [[False]] * (NUM_STATES - 1)
+    assert outcome(StateDistribution, bools) == (ValidationError, message)
     empty = np.empty((NUM_STATES, 0))
     assert outcome(StateDistribution, empty) == outcome(oracle_distribution, empty)
 

@@ -30,7 +30,8 @@ from epigame.core import (
     unflatten_state,
     unflatten_state_table,
 )
-from conftest import make_params, random_dist, random_policy
+from epigame.epidemic import survival
+from conftest import make_params, random_dist, random_policy, random_reward_config
 
 
 # --- parameters -----------------------------------------------------------
@@ -134,6 +135,36 @@ def test_index_bounds_rejected():
         flatten_action(0, 2, 2, 2)
     with pytest.raises(ValidationError):
         unflatten_action(6, 2, 2)
+    # negative, bool and fractional indices, in every position
+    pi = uniform_no_move_policy(make_params(num_zones=2))
+    for bad in (-1, True, 0.5, 1.0, np.float64(1.0), "1", None):
+        with pytest.raises(ValidationError):
+            flatten_state(bad, 0, 2)
+        with pytest.raises(ValidationError):
+            flatten_state(0, bad, 2)
+        with pytest.raises(ValidationError):
+            unflatten_state(bad, 2)
+        with pytest.raises(ValidationError):
+            flatten_action(bad, 0, 2, 2)
+        with pytest.raises(ValidationError):
+            flatten_action(0, bad, 2, 2)
+        with pytest.raises(ValidationError):
+            unflatten_action(bad, 2, 2)
+        with pytest.raises(ValidationError):
+            pi.row(bad, 0)
+        with pytest.raises(ValidationError):
+            pi.row(0, bad)
+        with pytest.raises(ValidationError):
+            pi.class_row(bad, 0)
+        with pytest.raises(ValidationError):
+            pi.class_row(0, bad)
+    for bad in (5, 7):
+        with pytest.raises(ValidationError):
+            pi.row(bad, 0)
+    with pytest.raises(ValidationError):
+        pi.class_row(3, 0)
+    with pytest.raises(ValidationError):
+        pi.row(0, 2)
 
 
 def test_action_component_lookups():
@@ -264,6 +295,19 @@ def test_social_state_zone_mismatch_rejected():
         SocialState(random_policy(rng, p2), random_dist(rng, 3))
     with pytest.raises(ValidationError):
         SocialState(random_policy(rng, p3), random_dist(rng, 2))
+    # a three-zone social state against two-zone parameters, or of another a_max
+    social = SocialState(random_policy(rng, p3), random_dist(rng, 3))
+    for p in (p2, make_params(num_zones=3, a_max=p3.a_max + 1)):
+        values, cfg = np.zeros((NUM_STATES, p.num_zones)), random_reward_config(rng, p)
+        for call in (
+            lambda: epigame.transition_matrix(social, p),
+            lambda: epigame.activity_masses(social, p),
+            lambda: survival(social, p),
+            lambda: epigame.state_transition(0, 0, 1, 0, social, p),
+            lambda: epigame.q_function(social, values, cfg, p),
+        ):
+            with pytest.raises(ValidationError, match="policy num_zones=3|policy a_max="):
+                call()
 
 
 def test_params_are_immutable():

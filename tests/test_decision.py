@@ -271,6 +271,16 @@ def test_best_response_respects_feasibility_mask():
     q[InfectionState.I, 0] = [4.0, 10.0, 3.0, 7.0]
     got = set(int(j) for j in best_response(q, InfectionState.I, 0, feasible=feasible))
     assert got == {0}
+    # masks that are too short, allow nothing, or are not bool; and bad indices
+    for bad in (feasible[:3], np.zeros(4, bool), np.full(4, 0.5), [1, 0, 0, 0]):
+        with pytest.raises(ValidationError, match="feasible"):
+            best_response(q, InfectionState.I, 0, feasible=bad)
+    for s, z in ((0, -1), (0, 1), (0, True), (0, 0.5), (-1, 0), (5, 0), (7, 0), (True, 0)):
+        with pytest.raises(ValidationError):
+            best_response(q, s, z)
+    for bad in (q[:, 0], q[0, 0], [["x"]]):
+        with pytest.raises(ValidationError, match="q "):
+            best_response(bad, 0, 0)
 
 
 def test_best_response_tie_tolerance_boundary():

@@ -372,6 +372,14 @@ def test_trajectory_observables_on_a_two_zone_run():
     series = traj.mean_activation(int(BehaviorClass.HEALTHY), 0)
     assert series.shape == (31,)
     assert series[0] == pytest.approx(3.0)
+    for bad in (-1, 2, True, 0.5):
+        for call in (lambda: traj.infected(bad), lambda: traj.mean_activation(0, bad),
+                     lambda: traj.net_flow(bad, 0), lambda: traj.net_flow(0, bad)):
+            with pytest.raises(ValidationError):
+                call()
+    for bad in (-1, 3, True, 0.5):
+        with pytest.raises(ValidationError):
+            traj.mean_activation(bad, 0)
 
 
 def held_array_shapes(obj, seen=None):
@@ -511,5 +519,8 @@ def test_zone_wave_lookup_validates_the_zone():
     result = simulate(replace(preset("fig2a"), horizon=10))
     with pytest.raises(ValidationError):
         detect_second_wave(result.trajectory, 1)
+    for bad in (-1, True, 0.5, None):
+        with pytest.raises(ValidationError):
+            detect_second_wave(result.trajectory, bad)
     flag, _ = detect_second_wave(result.trajectory, 0, prominence=WAVE_PROMINENCE)
     assert flag in (False, True)

@@ -27,6 +27,7 @@ from epigame.core import (
     flatten_state,
     unflatten_action,
 )
+from epigame.decision import value_function
 from epigame.epidemic import idle_law, survival
 from conftest import make_params, random_dist, random_social
 
@@ -194,6 +195,15 @@ def test_infection_transition_rejects_bad_degree_and_zone():
         infection_transition(InfectionState.S, 0, 7, probs, p)
     with pytest.raises(ValidationError):
         infection_transition(InfectionState.S, 2, 1, probs, p)
+    for bad in (-1, True, 1.5, 1.0):
+        with pytest.raises(ValidationError):
+            infection_transition(InfectionState.S, 0, bad, probs, p)
+        with pytest.raises(ValidationError):
+            infection_transition(InfectionState.S, bad, 1, probs, p)
+        with pytest.raises(ValidationError):
+            infection_transition(bad, 0, 1, probs, p)
+    with pytest.raises(ValidationError):
+        infection_transition(7, 0, 1, probs, p)
 
 
 def test_susceptible_infection_matches_monte_carlo_pairing():
@@ -274,6 +284,9 @@ def test_state_transition_rejects_bad_target():
     social = random_social(np.random.default_rng(4), p)
     with pytest.raises(ValidationError):
         state_transition(InfectionState.S, 0, 1, 2, social, p)
+    for bad in (-1, True, 0.5):
+        with pytest.raises(ValidationError):
+            state_transition(InfectionState.S, 0, 1, bad, social, p)
 
 
 # --- population kernel ------------------------------------------------------------
@@ -352,6 +365,12 @@ def test_kernel_rejects_non_stochastic_matrix():
     bad[3, 3] = 0.5
     with pytest.raises(NumericsError):
         TransitionKernel(bad, 2)
+    # a kernel of two zones against a distribution or parameters of three
+    kernel = TransitionKernel(np.eye(10), 2)
+    with pytest.raises(ValidationError, match="distribution num_zones=3"):
+        kernel.propagate(random_dist(np.random.default_rng(11), 3))
+    with pytest.raises(ValidationError, match="kernel num_zones=2"):
+        value_function(kernel, np.zeros((NUM_STATES, 3)), make_params(num_zones=3))
 
 
 def test_propagate_conserves_mass_and_positivity():

@@ -111,6 +111,13 @@ def test_dominant_activation_degrees():
     assert dominant_activation(flat, 0) == (0, 1, 2)
     with pytest.raises(ValidationError):
         dominant_activation(cfg, 2)
+    for bad in (-1, True, 0.5):
+        with pytest.raises(ValidationError):
+            dominant_activation(cfg, bad)
+        with pytest.raises(ValidationError):
+            dominant_activation(cfg, 0, bad)
+    with pytest.raises(ValidationError):
+        dominant_activation(cfg, 0, 5)
 
 
 # --- construction -----------------------------------------------------------------

@@ -208,6 +208,12 @@ def test_immediate_reward_rejects_bad_indices():
         immediate_reward(InfectionState.S, 2, 0, 0, cfg)
     with pytest.raises(ValidationError):
         immediate_reward(InfectionState.S, 0, 0, 2, cfg)
+    for bad in (-1, True, 0.5):
+        for args in ((bad, 0, 0, 0), (0, bad, 0, 0), (0, 0, bad, 0), (0, 0, 0, bad)):
+            with pytest.raises(ValidationError):
+                immediate_reward(*args, cfg)
+    with pytest.raises(ValidationError):
+        immediate_reward(5, 0, 0, 0, cfg)
 
 
 def test_reward_table_matches_scalar_rewards():
