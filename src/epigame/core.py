@@ -337,6 +337,8 @@ class Policy:
 
 def policy_rows(rows: np.ndarray, a_max: int) -> np.ndarray:
     """``rows`` (3, Z, J) over their row sums, once every :class:`Policy` invariant holds."""
+    if not is_integer(a_max):
+        raise ValidationError(f"a_max must be an integer; got {a_max!r}")
     rows = float_entries("policy rows", rows)
     if rows.ndim != 3 or rows.shape[0] != NUM_CLASSES:
         raise ValidationError(f"policy rows must have shape (3, Z, J); got {rows.shape}")

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    CLASS_OF_STATE,
     HEALTHY_STATES,
     NUM_CLASSES,
     NUM_STATES,
@@ -36,11 +37,13 @@ from .core import (
     unflatten_state_table,
 )
 from .epidemic import (
+    KernelBlocks,
     TransitionKernel,
     assemble_kernel,
     check_kernel,
     class_marginals,
     idle_law,
+    kernel_blocks,
     survival,
     survival_table,
 )
@@ -53,15 +56,25 @@ TIE_TOL = 1e-9
 # of max(1, |r|_inf / (1 - alpha)), the scale of V.
 VALUE_RESIDUAL_TOL = 1e-10
 
+# The symptomatic and recovered reward rows must split into a degree part and
+# a move cost to within this, in units of max(1, |rows|_inf): a few roundings
+# of the sums that build a RewardConfig's table.
+SEPARATION_TOL = 1e-14
+
 # Healthy mass below this falls back to the susceptible row when weighting Q.
 BELIEF_FLOOR = 1e-12
 
-# From this many zones up the day core solves the value equation state by
-# state (solve_values_by_state), below it in one dense solve. Measured on a
-# 2-vCPU VM with numpy 2.4.6 and OpenBLAS 0.3.31:
-# - speed: at Z = 5-10 the four block solves took 72-147 us against 22-71 us
-#   for the dense one, at Z = 25-40 114-323 us against 163-830 us; they
-#   cross at Z of about 20-25;
+# From this many zones up a DayPlan is structured: it keeps the day's kernel
+# in its blocks, solves the value equation state by state on them
+# (solve_values_by_state) and builds the I and R logit rows as products;
+# below it, it builds the dense kernel, solves it in one go and runs the full
+# logit. Measured on a 2-vCPU VM with numpy 2.4.6 and OpenBLAS 0.3.31, in us
+# per call at a_max = 6:
+# - kernel, check, solve and propagation: 74 / 110 / 173 dense against
+#   133 / 142 / 152 on the blocks at Z = 10 / 15 / 20, and 910 against 231 at
+#   Z = 40 (the dense 5Z x 5Z solve);
+# - target: 51 / 73 / 103 full against 58 / 75 / 97 factorised at Z = 10 /
+#   15 / 20, and 348 against 284 at Z = 40; so both cross at Z of 15-20;
 # - determinism: np.linalg.solve gave the same bits at 1 and 2 BLAS threads
 #   for every n from 1 to 99 and different bits for every n probed from 100
 #   to 200, so with this cutoff the dense solve only sees n = 5Z <= 95 and
@@ -100,35 +113,38 @@ def solve_values(matrix: np.ndarray, rewards: np.ndarray, alpha: float) -> np.nd
     return unflatten_state_table(v, rewards.shape[1])
 
 
-def solve_values_by_state(matrix: np.ndarray, rewards: np.ndarray, alpha: float) -> np.ndarray:
-    """:func:`solve_values` by back-substitution over the infection states.
+def solve_values_by_state(kernel: KernelBlocks, rewards: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`solve_values` of the :class:`~epigame.epidemic.KernelBlocks` ``kernel``.
 
     SAIR(U) has no reinfection: R is absorbing, I and U lead only to R, A
-    only to I and U, and S only to A. So ``I - alpha * matrix`` is
-    block-triangular by state, and four Z x Z solves replace the one (5Z)^2
-    solve: R, then I and U stacked, then A, then S. ``matrix`` must have the
-    zero pattern that :func:`~epigame.epidemic.assemble_kernel` gives it;
-    the residual gate runs on the full system.
+    only to I and U, and S only to A. So ``I - alpha * P`` is block-triangular
+    by state, and four Z x Z solves replace the one (5Z)^2 solve: R, then I
+    and U stacked, then A, then S. State s's diagonal block is ``law[s, s] *
+    moves[class(s)]`` and its coupling to t ``law[s, t] * moves[class(s)]``;
+    S's are ``ss`` and ``sa``. The residual gate runs on the full system,
+    through the same blocks.
     """
+    moves, law, ss, sa = kernel
     zones = rewards.shape[1]
     S, A, I, R, U = STATE_INDEX
-    # block[s, t] is the (Z, Z') block of moves from state s to state t.
-    block = matrix.reshape(zones, NUM_STATES, zones, NUM_STATES).transpose(1, 3, 0, 2)
-    flat = np.empty((zones, NUM_STATES))
-    v = flat.T  # (5, Z) view of the flat values
+    v = np.empty((NUM_STATES, zones))
 
-    def solve(s, rhs):  # (I - alpha * block[s, s]) x = rhs, stacked over s
-        system = block[s, s] * -alpha
+    def block(s, t):  # (Z, Z') block of moves from state s to state t, stacked over s
+        return law[s, t, None, None] * moves[CLASS_OF_STATE[s]]
+
+    def solve(system, rhs):  # (I - alpha * system) x = rhs, stacked over the first axes
+        system = system * -alpha
         system.reshape(*system.shape[:-2], -1)[..., :: zones + 1] += 1.0
         return np.linalg.solve(system, rhs[..., None])[..., 0]
 
-    v[R] = solve(R, rewards[R])
-    v[[I, U]] = solve([I, U], rewards[[I, U]] + alpha * (block[[I, U], R] @ v[R]))
-    v[A] = solve(A, rewards[A] + alpha * (block[A, I] @ v[I] + block[A, U] @ v[U]))
-    v[S] = solve(S, rewards[S] + alpha * (block[S, A] @ v[A]))
-    r = flatten_state_table(rewards)
-    values = flat.reshape(-1)
-    check_value_residual(values - alpha * (matrix @ values) - r, r, alpha)
+    v[R] = solve(block(R, R), rewards[R])
+    v[[I, U]] = solve(block([I, U], [I, U]), rewards[[I, U]] + alpha * (block([I, U], R) @ v[R]))
+    v[A] = solve(block(A, A), rewards[A] + alpha * (block(A, I) @ v[I] + block(A, U) @ v[U]))
+    v[S] = solve(ss, rewards[S] + alpha * (sa @ v[A]))
+    # P v: state s's row is moves[class(s)] @ (law @ v)[s], S's is ss @ v_S + sa @ v_A.
+    pv = (moves @ (law @ v).T)[CLASS_OF_STATE, :, STATE_INDEX]
+    pv[S] = ss @ v[S] + sa @ v[A]
+    check_value_residual(v - alpha * pv - rewards, rewards, alpha)
     return v
 
 
@@ -151,11 +167,13 @@ def lookahead_q(
     law: np.ndarray,
     alpha: float,
     weights: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Reward ``table`` plus discounted ``values`` of tomorrow's state.
+    """Reward ``table`` plus discounted ``values`` of tomorrow's state, into ``out`` if given.
 
     ``table`` is per state (5, Z, J) or per behavior class (3, Z, J), the
-    rows of each class's :data:`~epigame.core.STATE_OF_CLASS`. Tomorrow lies
+    rows of each class's :data:`~epigame.core.STATE_OF_CLASS`, or the
+    leading rows of one. Tomorrow lies
     in the action's target zone t (the flat action axis splits into target
     and degree). Only the first row, S's, depends on today's zone and
     degree: S survives with probability ``stay`` (Z, a_max+1) or turns A.
@@ -169,10 +187,10 @@ def lookahead_q(
     zones, width = stay.shape
     S, A, I, R, U = STATE_INDEX
     lv = law @ values
-    q = np.empty(table.shape)
+    q = np.empty(table.shape) if out is None else out
     by_target = q.reshape(len(table), zones, zones, width)
     others = lv[1:] if len(table) == NUM_STATES else lv[I : R + 1]  # A-U, or classes I and R
-    np.multiply(others[:, None, :, None], alpha, out=by_target[1:])
+    np.multiply(others[: len(table) - 1, None, :, None], alpha, out=by_target[1:])
     first = by_target[0]
     if weights is None:
         stay = stay[:, None, :]  # (Z, 1, a_max+1) against (Z', 1) values
@@ -223,6 +241,13 @@ class DayPlan:
     class and build no per-state (5, Z, J) table, nor any of the public
     containers. They check the kernel, the value residual and the logit
     target's rows, but not the values they derive in range.
+
+    From :data:`BLOCK_SOLVE_MIN_ZONES` zones up the plan is ``structured``:
+    the day's kernel stays in its :class:`~epigame.epidemic.KernelBlocks`,
+    and the symptomatic and recovered logit rows are products of a softmax
+    over the target zone and the plan's ``degree_logit``. That needs their
+    reward rows to split into a degree part and the ``move_cost``, which the
+    plan checks (:func:`separate_rewards`).
     """
 
     table: np.ndarray  # (5, Z, J)
@@ -234,6 +259,10 @@ class DayPlan:
     law: np.ndarray = field(init=False, repr=False)  # (5, 5) idle_law
     penalty: np.ndarray = field(init=False, repr=False)  # (3, 1, J) action_penalty; 0 if feasible
     class_table: np.ndarray = field(init=False, repr=False)  # (3, Z, J) class_reward_table
+    structured: bool = field(init=False, repr=False)
+    # Structured plans only: the I and R degree softmax (2, Z, a_max+1) and the move cost (Z, Z').
+    degree_logit: np.ndarray | None = field(init=False, repr=False)
+    move_cost: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = self.params
@@ -244,9 +273,16 @@ class DayPlan:
             )
         check_healthy_q(self.healthy_q)
         feasible = feasible_actions(p, self.infected_forced_home)[:, None, :]
+        penalty, class_table = action_penalty(feasible), class_reward_table(self.table)
+        structured = p.num_zones >= BLOCK_SOLVE_MIN_ZONES
+        degree_logit = move_cost = None
+        if structured:
+            degree, move_cost = separate_rewards(class_table, p.a_max + 1)
+            degree_logit = logit_rows(degree, penalty[1:, :, : p.a_max + 1], p.rationality)
         store(self, degrees=action_degrees(p.a_max, p.num_zones).astype(float),
-              powers=np.arange(p.a_max + 1), law=idle_law(p), penalty=action_penalty(feasible),
-              class_table=class_reward_table(self.table))
+              powers=np.arange(p.a_max + 1), law=idle_law(p), penalty=penalty,
+              class_table=class_table, structured=structured, degree_logit=degree_logit,
+              move_cost=move_cost)
 
     def state_rewards(self, class_rows: np.ndarray) -> DayRows:
         """The :class:`DayRows` of ``class_rows``: marginals and the states' rewards (5, Z).
@@ -262,42 +298,85 @@ class DayPlan:
         marginals = class_marginals(class_rows, self.degrees)
         return DayRows(class_rows, *marginals, class_expected_rewards(class_rows, self.class_table))
 
-    def terms(self, rows: DayRows, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One day's flat kernel matrix (5Z, 5Z), survival table (Z, a_max+1) and values (5, Z).
+    def terms(
+        self, rows: DayRows, d: np.ndarray
+    ) -> tuple[np.ndarray | KernelBlocks, np.ndarray, np.ndarray]:
+        """One day's checked kernel, survival table (Z, a_max+1) and values (5, Z).
 
         ``rows`` comes from :meth:`state_rewards`, and ``d`` is the
-        distribution table (5, Z). The survival table is computed once and
-        shared by the kernel and the lookahead: :func:`lookahead_q` prices
-        tomorrow from it, per class in :meth:`target` and per state in the
-        equilibrium checker.
+        distribution table (5, Z). The kernel is the flat matrix (5Z, 5Z),
+        or its blocks in a structured plan; either propagates mass through
+        :func:`~epigame.epidemic.propagate_mass`. The survival table is
+        computed once and shared by the kernel and the lookahead:
+        :func:`lookahead_q` prices tomorrow from it, per class in
+        :meth:`target` and per state in the equilibrium checker.
         """
         p = self.params
         stay = survival_table(rows.mean_degree, d, self.powers, p)
-        matrix = assemble_kernel(rows.classes[BehaviorClass.HEALTHY], rows.moves, stay, self.law)
-        check_kernel(matrix, p.num_zones)
-        return matrix, stay, self.values(matrix, rows.rewards)
+        build = kernel_blocks if self.structured else assemble_kernel
+        kernel = build(rows.classes[BehaviorClass.HEALTHY], rows.moves, stay, self.law)
+        check_kernel(kernel, p.num_zones)
+        return kernel, stay, self.values(kernel, rows.rewards)
 
-    def values(self, matrix: np.ndarray, rewards: np.ndarray) -> np.ndarray:
-        """Values (5, Z) of the day's checked kernel ``matrix`` and ``rewards``.
+    def values(self, kernel: np.ndarray | KernelBlocks, rewards: np.ndarray) -> np.ndarray:
+        """Values (5, Z) of the day's checked ``kernel`` and ``rewards``.
 
-        Solved state by state from :data:`BLOCK_SOLVE_MIN_ZONES` zones up,
-        densely below.
+        Solved state by state on the blocks of a structured plan, densely on
+        the matrix below.
         """
-        p = self.params
-        by_state = p.num_zones >= BLOCK_SOLVE_MIN_ZONES
-        return (solve_values_by_state if by_state else solve_values)(matrix, rewards, p.alpha)
+        solve = solve_values_by_state if self.structured else solve_values
+        return solve(kernel, rewards, self.params.alpha)
 
     def target(self, stay: np.ndarray, values: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Checked logit target rows (3, Z, J) of :meth:`terms`' ``stay`` and ``values``.
 
         The class Q is :func:`lookahead_q` of the class table; in ``belief``
         mode its healthy row is blended by the :func:`belief_weights` of the
-        distribution ``d``.
+        distribution ``d``. A structured plan builds Q and its logit for the
+        healthy class only. The I and R rows' Q is ``degree[z, a] - move[z, t]
+        + alpha * (law @ V)[s, t]``, whose softmax is the product of the
+        plan's ``degree_logit`` and a softmax over the target zone t.
         """
         p = self.params
         weights = belief_weights(d) if self.healthy_q == "belief" else None
-        cq = lookahead_q(stay, values, self.class_table, self.law, p.alpha, weights)
-        return policy_rows(logit_rows(cq, self.penalty, p.rationality), p.a_max)
+        if not self.structured:
+            cq = lookahead_q(stay, values, self.class_table, self.law, p.alpha, weights)
+            return policy_rows(logit_rows(cq, self.penalty, p.rationality), p.a_max)
+        zones, width = stay.shape
+        rows = np.empty(self.class_table.shape)
+        healthy = lookahead_q(stay, values, self.class_table[:1], self.law, p.alpha, weights,
+                              out=rows[:1])
+        logit_rows(healthy, self.penalty[:1], p.rationality)
+        _, _, I, R, _ = STATE_INDEX
+        scores = (self.law[I : R + 1] @ values)[:, None, :] * p.alpha - self.move_cost
+        by_target = logit_rows(scores, 0.0, p.rationality)  # (2, Z, Z')
+        np.multiply(by_target[..., None], self.degree_logit[:, :, None, :],
+                    out=rows[1:].reshape(2, zones, zones, width))
+        return policy_rows(rows, p.a_max)
+
+
+def separate_rewards(class_table: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree part (2, Z, width) and the move cost (Z, Z') of the I and R class rows.
+
+    A class reward table's symptomatic and recovered rows are ``degree[c, z,
+    a] - move[z, t]`` for the action (t, a): the degree part is the reward
+    of staying, and the move cost the recovered class's loss at degree 0
+    from moving from z to t. Raises ValidationError unless both rows
+    separate so, within :data:`SEPARATION_TOL`.
+    """
+    zones = class_table.shape[1]
+    by_target = class_table[1:].reshape(2, zones, zones, width)
+    own = np.arange(zones)
+    degree = by_target[:, own, own]  # (2, Z, width), a copy
+    move = degree[1, :, :1] - by_target[1, :, :, 0]
+    separated = degree[:, :, None, :] - move[:, :, None]
+    scale = max(1.0, float(np.abs(by_target).max()))
+    if not np.abs(separated - by_target).max() <= SEPARATION_TOL * scale:
+        raise ValidationError(
+            "the symptomatic and recovered rewards must split into a degree part "
+            "and a move cost"
+        )
+    return degree, move
 
 
 def feasible_actions(p: ModelParams, infected_forced_home: bool = True) -> np.ndarray:
@@ -418,8 +497,14 @@ def logit_choice(
 
 
 def blend(current: np.ndarray, target: np.ndarray, inertia: float) -> np.ndarray:
-    """Rows ``inertia`` of the way from ``current`` to ``target``."""
-    return (1.0 - inertia) * current + inertia * target
+    """Rows ``inertia`` of the way from ``current`` to ``target``; scales ``target`` in place.
+
+    One new array: the bits of ``(1 - inertia) * current + inertia * target``.
+    """
+    out = np.multiply(current, 1.0 - inertia)
+    target *= inertia
+    out += target
+    return out
 
 
 def policy_update(current: Policy, target: Policy, inertia: float) -> Policy:
@@ -427,4 +512,4 @@ def policy_update(current: Policy, target: Policy, inertia: float) -> Policy:
     if not 0.0 < inertia <= 1.0:
         raise ValidationError(f"inertia must lie in (0, 1]; got {inertia}")
     same_dims("current policy", current, "target policy", target)
-    return Policy(blend(current.class_rows, target.class_rows, inertia), current.a_max)
+    return Policy(blend(current.class_rows, target.class_rows.copy(), inertia), current.a_max)

@@ -219,10 +219,10 @@ def _advance(plan: DayPlan, social: SocialState, rows: DayRows) -> SocialState:
     ``rows`` is today's :meth:`DayPlan.state_rewards`.
     """
     d = social.dist.d
-    matrix, stay, values = plan.terms(rows, d)
+    kernel, stay, values = plan.terms(rows, d)
     new_rows = blend(social.policy.class_rows, plan.target(stay, values, d), plan.params.inertia)
     return SocialState(
-        Policy(new_rows, plan.params.a_max), StateDistribution(propagate_mass(d, matrix))
+        Policy(new_rows, plan.params.a_max), StateDistribution(propagate_mass(d, kernel))
     )
 
 
@@ -276,17 +276,15 @@ def simulate(scenario: ScenarioConfig) -> SimulationResult:
         if day >= scenario.horizon:
             stop_reason = "horizon"
             break
-        policy_change = (
-            math.inf
-            if previous is None
-            else float(np.abs(social.policy.class_rows - previous.policy.class_rows).max())
-        )
-        if (
-            social.dist.active_mass() < scenario.extinction_threshold
-            and policy_change < scenario.policy_settle_threshold
-        ):
-            stop_reason = "settled"
-            break
+        if social.dist.active_mass() < scenario.extinction_threshold:
+            policy_change = (
+                math.inf
+                if previous is None
+                else float(np.abs(social.policy.class_rows - previous.policy.class_rows).max())
+            )
+            if policy_change < scenario.policy_settle_threshold:
+                stop_reason = "settled"
+                break
         previous = social
     traj = Trajectory._of_run(observed, scenario)
     return SimulationResult(

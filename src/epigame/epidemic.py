@@ -11,6 +11,7 @@ survival table), and the policy-averaged kernel of the whole population.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .core import (
     checked_index,
     flatten_state_table,
     float_entries,
+    is_integer,
     same_dims,
     store,
     unflatten_state_table,
@@ -50,6 +52,10 @@ class ActivityMasses:
         if (self.asymptomatic + self.symptomatic > self.total + PROB_TOL).any():
             raise ValidationError("infectious activity exceeds total activity")
 
+    @property
+    def num_zones(self) -> int:
+        return self.total.size
+
 
 @dataclass(frozen=True, eq=False)
 class EncounterProbs:
@@ -67,6 +73,10 @@ class EncounterProbs:
                 raise ValidationError(f"encounter probability {name} must be finite")
         if (self.no_partner + self.asymptomatic + self.symptomatic > 1.0 + PROB_TOL).any():
             raise ValidationError("encounter probabilities of one attempt exceed 1")
+
+    @property
+    def num_zones(self) -> int:
+        return self.no_partner.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,24 +119,62 @@ def _stored_fields(container, kind: str):
         yield f.name, arr
 
 
-def check_kernel(m: np.ndarray, num_zones: int) -> None:
-    """Raise unless the float matrix is a valid :class:`TransitionKernel` over ``num_zones``."""
-    n = NUM_STATES * num_zones
-    if m.shape != (n, n):
-        raise ValidationError(f"kernel must have shape ({n}, {n}); got {m.shape}")
-    # One test of all conditions first (an infinite entry makes its row sum infinite).
-    if m.min(initial=0.0) >= 0.0 and np.abs(m.sum(axis=1) - 1.0).max() <= PROB_TOL:
+class KernelBlocks(NamedTuple):
+    """A day kernel as the pieces its flat (5Z, 5Z) matrix is built from.
+
+    Every state s but S moves as its class does and progresses by the
+    :func:`idle_law` ``law``: its (Z, Z') block toward state t is ``law[s, t]
+    * moves[class(s)]``. S's blocks are ``ss`` toward S and ``sa`` toward A;
+    the idle law sends S nowhere else.
+    """
+
+    moves: np.ndarray  # (3, Z, Z') class marginals
+    law: np.ndarray  # (5, 5)
+    ss: np.ndarray  # (Z, Z') S -> S
+    sa: np.ndarray  # (Z, Z') S -> A
+
+
+def check_kernel(m: np.ndarray | KernelBlocks, num_zones: int) -> None:
+    """Raise unless ``m`` is a valid :class:`TransitionKernel` over ``num_zones``.
+
+    ``m`` is the float matrix or its :class:`KernelBlocks`, checked as the
+    matrix they stand for: every factor finite and nonnegative, and the mass
+    of every (state, zone) row within ``PROB_TOL`` of 1.
+    """
+    if not is_integer(num_zones):
+        raise ValidationError(f"num_zones must be an integer; got {num_zones!r}")
+    if isinstance(m, KernelBlocks):
+        entries, smallest = m, min(e.min(initial=0.0) for e in m)
+        mass = m.law.sum(axis=1)[:, None] * m.moves.sum(axis=2).take(CLASS_OF_STATE, axis=0)
+        mass[InfectionState.S] = m.ss.sum(axis=1) + m.sa.sum(axis=1)
+    else:
+        n = NUM_STATES * num_zones
+        if m.shape != (n, n):
+            raise ValidationError(f"kernel must have shape ({n}, {n}); got {m.shape}")
+        entries, smallest, mass = (m,), m.min(initial=0.0), m.sum(axis=1)
+    # One test of all conditions first (a non-finite entry makes its row mass non-finite).
+    if smallest >= 0.0 and np.abs(mass - 1.0).max() <= PROB_TOL:
         return
-    if (m < 0.0).any() or not np.isfinite(m).all():
+    if any((e < 0.0).any() or not np.isfinite(e).all() for e in entries):
         raise ValidationError("kernel entries must be finite and nonnegative")
-    worst = float(np.abs(m.sum(axis=1) - 1.0).max())
+    worst = float(np.abs(mass - 1.0).max())
     if worst > PROB_TOL:
         raise NumericsError(f"kernel rows deviate from stochasticity by {worst}")
 
 
-def propagate_mass(d: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """One day of mass transport of a (5, Z) table through a flat kernel matrix."""
-    return unflatten_state_table(flatten_state_table(d) @ matrix, d.shape[1])
+def propagate_mass(d: np.ndarray, kernel: np.ndarray | KernelBlocks) -> np.ndarray:
+    """One day of mass transport of a (5, Z) table through a flat kernel matrix or its blocks."""
+    if not isinstance(kernel, KernelBlocks):
+        return unflatten_state_table(flatten_state_table(d) @ kernel, d.shape[1])
+    moves, law, ss, sa = kernel
+    S, A = InfectionState.S, InfectionState.A
+    # Every state's mass moved by every class's marginal (3, 5, Z'); each state but S
+    # takes its own class's and progresses by the law.
+    moved = (d @ moves)[CLASS_OF_STATE[1:], np.arange(1, NUM_STATES)]
+    out = law[1:].T @ moved
+    out[S] += d[S] @ ss
+    out[A] += d[S] @ sa
+    return out
 
 
 def class_marginals(class_rows: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,6 +232,7 @@ def encounter_probs(masses: ActivityMasses, p: ModelParams) -> EncounterProbs:
     pairing distribution stays well defined when nobody is active: in that
     limit every attempt matches nobody.
     """
+    same_dims("activity masses", masses, "parameters", p)
     return EncounterProbs(
         *encounter_arrays(masses.total, masses.asymptomatic, masses.symptomatic, p.epsilon)
     )
@@ -210,6 +259,7 @@ def infection_transition(
     ``a`` contacts independently infects with probability ``beta_A`` or
     ``beta_I`` depending on the partner drawn.
     """
+    same_dims("encounter probabilities", probs, "parameters", p)
     a = checked_index("activation degree", a, p.a_max + 1)
     z = checked_index("zone", z, p.num_zones)
     s = InfectionState(checked_index("infection state", s, NUM_STATES))
@@ -267,16 +317,32 @@ def state_transition(
     return out
 
 
-def assemble_kernel(
+def kernel_blocks(
     healthy: np.ndarray, moves: np.ndarray, stay: np.ndarray, law: np.ndarray
-) -> np.ndarray:
-    """Flat kernel matrix (5Z, 5Z) of a day's class marginal ``moves`` (3, Z, Z').
+) -> KernelBlocks:
+    """The :class:`KernelBlocks` of a day's class marginal ``moves`` (3, Z, Z').
 
     Every state but S progresses by ``law``, the :func:`idle_law`, and moves
     as its class does. The susceptible mass that the healthy rows
     ``healthy`` (Z, J) send to a target stays S with the survival chance
     ``stay`` (Z, a_max+1) of the degree taken and turns A otherwise; both
     are sums of nonnegative terms. Z and a_max+1 are read from ``stay``.
+    """
+    zones, width = stay.shape
+    by_target = healthy.reshape(zones, zones, width)
+    ss = np.matmul(by_target, stay[:, :, None])[:, :, 0]
+    sa = np.matmul(by_target, (1.0 - stay)[:, :, None])[:, :, 0]
+    return KernelBlocks(moves, law, ss, sa)
+
+
+def assemble_kernel(
+    healthy: np.ndarray, moves: np.ndarray, stay: np.ndarray, law: np.ndarray
+) -> np.ndarray:
+    """Flat kernel matrix (5Z, 5Z) of the :func:`kernel_blocks` of the same arguments.
+
+    It writes each block in place: the products of ``law`` and ``moves``
+    for every state but S, and S's two blocks straight from the matrix
+    products.
     """
     zones, width = stay.shape
     S, A = InfectionState.S, InfectionState.A

@@ -206,7 +206,7 @@ def check_equilibrium(
         raise ValidationError(f"tol must be a finite positive number; got {tol!r}")
     plan = DayPlan(cfg.table, p, infected_forced_home=infected_forced_home)
     d = social.dist.d
-    matrix, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
+    kernel, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
     q = lookahead_q(stay, values, plan.table, plan.law, p.alpha)
 
     states = social.policy.class_rows.take(CLASS_OF_STATE, axis=0)
@@ -218,7 +218,7 @@ def check_equilibrium(
     occupied = d > 0.0
     se1 = float(gaps[occupied].max()) if occupied.any() else 0.0
     se1_un = float(gaps[~occupied].max()) if (~occupied).any() else 0.0
-    se2 = float(np.abs(propagate_mass(d, matrix) - d).max())
+    se2 = float(np.abs(propagate_mass(d, kernel) - d).max())
     gaps.setflags(write=False)
     occupied.setflags(write=False)
     return EquilibriumReport(

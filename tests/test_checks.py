@@ -10,8 +10,10 @@ valid inputs and on corrupted copies of them. The recorded differences are
 tightenings the oracles let through: ``EncounterProbs`` rejects NaN entries,
 both table containers reject fields of different lengths and entries that
 are bools or not numbers, ``EncounterProbs`` rejects fields that are
-not one-dimensional, and ``TransitionKernel``, ``Policy`` and
-``StateDistribution`` reject entries that are bools or not numbers.
+not one-dimensional, ``TransitionKernel``, ``Policy`` and
+``StateDistribution`` reject entries that are bools or not numbers, and
+``TransitionKernel`` and ``Policy`` reject a ``num_zones`` or ``a_max``
+that is not an integer.
 
 The day core no longer builds those two containers: ``survival_table``
 derives the activity masses and encounter probabilities from checked rows
@@ -45,7 +47,7 @@ from epigame.core import (
     action_degrees,
     policy_rows,
 )
-from epigame.decision import DayPlan
+from epigame.decision import BLOCK_SOLVE_MIN_ZONES, DayPlan
 from epigame.epidemic import (
     activity_arrays,
     check_kernel,
@@ -53,7 +55,7 @@ from epigame.epidemic import (
     encounter_arrays,
     survival_table,
 )
-from conftest import make_params
+from conftest import make_params, random_reward_config, random_social
 
 CASES = 1000
 
@@ -358,6 +360,41 @@ def test_kernel_check_matches_the_separate_checks():
     assert outcome(check_kernel, empty, 0) == outcome(oracle_kernel, empty, 0)
 
 
+def blocks_matrix(blocks):
+    """The flat (5Z, 5Z) matrix that the ``KernelBlocks`` stand for, block by block."""
+    moves, law, ss, sa = blocks
+    m = np.einsum("st,szy->zsyt", law, moves[CLASS_OF_STATE])  # (z, s) -> (z', t)
+    m[:, InfectionState.S, :, InfectionState.S] = ss
+    m[:, InfectionState.S, :, InfectionState.A] = sa
+    return m.reshape(NUM_STATES * len(ss), -1)
+
+
+def test_kernel_block_check_matches_the_dense_matrix_check():
+    # From BLOCK_SOLVE_MIN_ZONES up the day core checks the kernel's blocks:
+    # every corruption of a block fails as the matrix it stands for does.
+    rng = np.random.default_rng(1106)
+    p = make_params(num_zones=BLOCK_SOLVE_MIN_ZONES, a_max=3)
+    plan = DayPlan(random_reward_config(rng, p).table, p)
+    for _ in range(CASES // 10):
+        social = random_social(rng, p)
+        blocks, _, _ = plan.terms(plan.state_rewards(social.policy.class_rows), social.dist.d)
+        assert outcome(check_kernel, blocks, p.num_zones) == ("ok", None)
+        for name, corrupt in corruptions("kernel").items():
+            # law's S row is not a block: S's blocks are ss and sa
+            k = int(rng.integers(len(blocks)))
+            bad = blocks._replace(**{blocks._fields[k]: blocks[k].copy()})
+            target = bad[k][1:] if blocks._fields[k] == "law" else bad[k]
+            corrupt(target, rng)
+            with np.errstate(invalid="ignore"):  # 0 * inf in the assembled matrix is NaN
+                expected = outcome(oracle_kernel, blocks_matrix(bad), p.num_zones)
+            got = outcome(check_kernel, bad, p.num_zones)
+            if name == "sum":  # the worst deviation, summed in another order
+                assert got[0] is expected[0] is NumericsError
+                assert float(got[1].split()[-1]) == pytest.approx(float(expected[1].split()[-1]))
+            else:
+                assert got == expected
+
+
 def test_policy_rows_match_the_separate_checks():
     rng = np.random.default_rng(1104)
     for _ in range(CASES):
@@ -378,6 +415,17 @@ def test_policy_rows_match_the_separate_checks():
     for a_max in (0, 2):
         empty = np.empty((NUM_CLASSES, 0, 0))
         assert outcome(policy_rows, empty, a_max) == outcome(oracle_policy_rows, empty, a_max)
+
+
+def test_dimensions_pass_the_integer_rule():
+    # Tightened: both were kept as given, True or 1.0 alike.
+    rows, matrix = np.full((NUM_CLASSES, 1, 2), 0.5), np.eye(NUM_STATES)
+    assert outcome(build_policy, rows, 1) == outcome(build_kernel, matrix, 1) == ("ok", None)
+    for bad in (True, 1.0, np.float64(1.0), "1", None):
+        message = f"a_max must be an integer; got {bad!r}"
+        assert outcome(build_policy, rows, bad) == (ValidationError, message)
+        message = f"num_zones must be an integer; got {bad!r}"
+        assert outcome(build_kernel, matrix, bad) == (ValidationError, message)
 
 
 def test_distribution_matches_the_separate_checks():

@@ -28,11 +28,13 @@ from epigame import (
     value_function,
 )
 from epigame.core import (
+    CLASS_OF_STATE,
     NUM_STATES,
     BehaviorClass,
     action_degrees,
     flatten_action,
     flatten_state_table,
+    policy_rows,
     unflatten_action,
 )
 from epigame import decision, epidemic
@@ -122,22 +124,43 @@ def test_value_function_rejects_non_finite_rewards(bad):
 # --- deviation values -----------------------------------------------------------
 
 
+def public_blocks(social, p):
+    """The :class:`KernelBlocks` of the public pieces: the policy's marginals and survival."""
+    moves, _ = epidemic.policy_marginals(social, p)
+    healthy = social.policy.class_rows[BehaviorClass.HEALTHY]
+    stay = epidemic.survival(social, p)
+    return epidemic.kernel_blocks(healthy, moves, stay, epidemic.idle_law(p))
+
+
 def test_day_terms_match_the_public_pieces():
     rng = np.random.default_rng(25)
-    # 20 and 40 zones: the block solve's side of BLOCK_SOLVE_MIN_ZONES.
-    for num_zones in (1, 2, 3, 20, 40):
+    # 20, 25 and 40 zones: the structured side of BLOCK_SOLVE_MIN_ZONES.
+    for num_zones in (1, 2, 3, 20, 25, 40):
         p = make_params(num_zones=num_zones, a_max=3)
         cfg = random_reward_config(rng, p)
         social = random_social(rng, p)
         d = social.dist.d
         plan = DayPlan(cfg.table, p)
-        matrix, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
+        kernel, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
         expected_kernel, expected_values = solved_value(social, cfg, p)
-        if num_zones >= decision.BLOCK_SOLVE_MIN_ZONES:
+        assert plan.structured == (num_zones >= decision.BLOCK_SOLVE_MIN_ZONES)
+        if plan.structured:
+            # Every block, bit for bit the dense matrix's block.
+            moves, law, ss, sa = kernel
+            dense = expected_kernel.matrix.reshape(num_zones, NUM_STATES, num_zones, NUM_STATES)
+            S, A = InfectionState.S, InfectionState.A
+            for s in InfectionState:
+                for t in InfectionState:
+                    if s == S:
+                        block = {S: ss, A: sa}.get(t, np.zeros((num_zones, num_zones)))
+                    else:
+                        block = law[s, t] * moves[CLASS_OF_STATE[s]]
+                    assert np.array_equal(dense[:, s, :, t], block)
             rewards = expected_reward(social.policy, cfg)
             solve = decision.solve_values_by_state
-            expected_values = solve(expected_kernel.matrix, rewards, p.alpha)
-        assert np.array_equal(matrix, expected_kernel.matrix)
+            expected_values = solve(public_blocks(social, p), rewards, p.alpha)
+        else:
+            assert np.array_equal(kernel, expected_kernel.matrix)
         assert np.array_equal(values, expected_values)
         q = q_function(social, values, cfg, p)
         assert np.array_equal(decision.lookahead_q(stay, values, cfg.table, plan.law, p.alpha), q)
@@ -163,19 +186,62 @@ def test_the_day_cores_values_match_the_dense_solve():
         social = random_social(rng, p)
         plan = DayPlan(cfg.table, p)
         rows = plan.state_rewards(social.policy.class_rows)
-        matrix, stay, values = plan.terms(rows, social.dist.d)
+        kernel, stay, values = plan.terms(rows, social.dist.d)
         rewards = rows.rewards
-        assert np.array_equal(values, plan.values(matrix, rewards))
-        dense = value_function(TransitionKernel(matrix, num_zones), rewards, p)
+        assert np.array_equal(values, plan.values(kernel, rewards))
         by_state = num_zones >= decision.BLOCK_SOLVE_MIN_ZONES
+        # The blocks stand for transition_matrix's matrix, bit for bit (test above).
+        matrix = transition_matrix(social, p) if by_state else TransitionKernel(kernel, num_zones)
+        dense = value_function(matrix, rewards, p)
         solve = decision.solve_values_by_state if by_state else decision.solve_values
-        assert np.array_equal(values, solve(matrix, rewards, p.alpha))
+        assert np.array_equal(values, solve(kernel, rewards, p.alpha))
         if by_state:
             assert np.max(np.abs(values - dense)) < 1e-9
         else:
             assert np.array_equal(values, dense)
         q = decision.lookahead_q(stay, values, cfg.table, plan.law, p.alpha)
         assert np.array_equal(q, q_function(social, values, cfg, p))
+
+
+def test_the_factorised_target_rows_match_the_full_logit():
+    # From BLOCK_SOLVE_MIN_ZONES up the I and R rows are a product of two
+    # softmaxes; the healthy row still runs the full logit, bit for bit. The
+    # full logit rounds its scores rationality * Q to their own ulp, so the
+    # rows are held to 1e-15 (4.5 ulp) of that scale: 1e-14 up to a scale of 10.
+    rng = np.random.default_rng(29)
+    for num_zones in (20, 40):
+        for mode in decision.HEALTHY_Q_MODES:
+            for forced_home in (True, False):
+                p = make_params(num_zones=num_zones, a_max=3,
+                                rationality=float(rng.uniform(1.0, 30.0)))
+                cfg = random_reward_config(rng, p)
+                social = random_social(rng, p, forced_home)
+                d = social.dist.d
+                plan = DayPlan(cfg.table, p, mode, forced_home)
+                _, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
+                weights = decision.belief_weights(d) if mode == "belief" else None
+                cq = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha,
+                                          weights)
+                scale = max(1.0, p.rationality * float(np.abs(cq[1:]).max()))
+                full = policy_rows(decision.logit_rows(cq, plan.penalty, p.rationality), p.a_max)
+                target = plan.target(stay, values, d)
+                assert np.array_equal(target[0], full[0])
+                assert np.max(np.abs(target[1:] - full[1:])) <= 1e-15 * scale
+
+
+def test_a_structured_plan_rejects_rewards_that_do_not_separate():
+    rng = np.random.default_rng(30)
+    for num_zones in (decision.BLOCK_SOLVE_MIN_ZONES, 40):
+        p = make_params(num_zones=num_zones, a_max=3)
+        for state in (InfectionState.I, InfectionState.R):
+            table = random_reward_config(rng, p).table.copy()
+            table[state, int(rng.integers(num_zones)), int(rng.integers(p.num_actions))] += 1e-6
+            with pytest.raises(ValidationError, match="must split into a degree part"):
+                DayPlan(table, p)
+    small = make_params(num_zones=decision.BLOCK_SOLVE_MIN_ZONES - 1, a_max=3)
+    table = random_reward_config(rng, small).table.copy()
+    table[InfectionState.R, 0, 1] += 1e-6
+    assert not DayPlan(table, small).structured  # the full logit needs no split
 
 
 def test_the_days_mean_degree_is_the_policys():

@@ -200,8 +200,10 @@ def test_simulate_fires_the_kernel_stochasticity_gate(monkeypatch):
 
     monkeypatch.setattr(epidemic, "idle_law", leaky_law)
     monkeypatch.setattr(decision, "idle_law", leaky_law)
-    with pytest.raises(NumericsError, match="stochasticity"):
-        simulate(preset("fig4_migration"))
+    # One scenario on each side of BLOCK_SOLVE_MIN_ZONES: the dense matrix and its blocks.
+    for scenario in (preset("fig4_migration"), seeded_scenario(58, "belief", True, num_zones=20)):
+        with pytest.raises(NumericsError, match="stochasticity"):
+            simulate(scenario)
 
 
 # --- full runs ------------------------------------------------------------------

@@ -188,6 +188,20 @@ def test_unaware_row_frozen():
     assert row == pytest.approx([0.0, 0.0, 0.0, 0.01, 0.99], abs=1e-15)
 
 
+def test_per_zone_values_must_cover_the_parameters_zones():
+    # Tightened: one-zone values met two-zone parameters without a word, or
+    # with numpy's IndexError in zone 1.
+    p = make_params(num_zones=2)
+    message = "encounter probabilities num_zones=1 does not match parameters num_zones=2"
+    for z in (0, 1):
+        with pytest.raises(ValidationError, match=message):
+            infection_transition(InfectionState.S, z, 1, neutral_probs(1, 0.2, 0.2), p)
+    masses = ActivityMasses(total=np.ones(1), asymptomatic=np.zeros(1), symptomatic=np.zeros(1))
+    message = "activity masses num_zones=1 does not match parameters num_zones=2"
+    with pytest.raises(ValidationError, match=message):
+        encounter_probs(masses, p)
+
+
 def test_infection_transition_rejects_bad_degree_and_zone():
     p = make_params(a_max=6)
     probs = neutral_probs(2)
