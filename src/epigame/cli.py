@@ -30,6 +30,8 @@ metadata lives only in summary.json.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import itertools
 import json
 import os
@@ -76,11 +78,21 @@ SOCIAL_STATE_KEYS = {"format", "version", "num_zones", "a_max", "dist", "policy_
 # --- atomic file helpers ----------------------------------------------------
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """A text file open at ``path``'s ``.tmp`` name, renamed onto ``path`` on success.
+
+    On an exception the ``.tmp`` file is removed and an earlier ``path`` is left as it was.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(x) -> str:
@@ -105,28 +117,40 @@ def timeseries_header(num_zones: int) -> list[str]:
     return cols
 
 
-def render_timeseries(result: SimulationResult) -> str:
-    """The ``timeseries.csv`` text: one row per day, columns as :func:`timeseries_header`.
+#: Cells in one block of days that :func:`render_timeseries` lays out at once.
+#: A block spreads the per-call numpy cost over many short rows (fig4 renders
+#: as fast as from one table of the whole run) and holds a few kB, however
+#: long the run; from 13 zones up (Z² + 8Z cells a day) a block is one day.
+RENDER_BLOCK_CELLS = 512
 
-    The trajectory's columns are laid out as one (T, C) table and formatted
-    a row at a time; ``repr`` of a list of floats is :func:`_fmt` of each.
+
+def render_timeseries(result: SimulationResult, out) -> None:
+    """Write ``timeseries.csv`` to the text stream ``out``: the header, then one line a day.
+
+    The trajectory's columns are laid out a block of days at a time
+    (:data:`RENDER_BLOCK_CELLS`) and each day's line is written as it is
+    formatted, so writing holds one block; ``repr`` of a list of floats is
+    :func:`_fmt` of each.
     """
     traj = result.trajectory
-    days, zones = len(traj), traj.num_zones
-    off_diagonal = ~np.eye(zones, dtype=bool).ravel()
-    table = np.concatenate(
-        [
-            traj.dist.transpose(0, 2, 1).reshape(days, -1),
-            traj.activation.transpose(0, 2, 1).reshape(days, -1),
-            traj.flows.reshape(days, -1)[:, off_diagonal],
-            traj.daily_welfare[:, None],
-        ],
-        axis=1,
-    )
-    lines = [",".join(timeseries_header(zones))]
-    for day, row in enumerate(table):
-        lines.append(f"{day},{repr(row.tolist())[1:-1].replace(', ', ',')}")
-    return "\n".join(lines) + "\n"
+    out.write(",".join(timeseries_header(traj.num_zones)) + "\n")
+    off_diagonal = ~np.eye(traj.num_zones, dtype=bool).ravel()
+    day_cells = traj.dist[0].size + traj.activation[0].size + traj.flows[0].size
+    step = max(1, RENDER_BLOCK_CELLS // day_cells)
+    for first in range(0, len(traj), step):
+        span = slice(first, first + step)
+        rows = len(traj.daily_welfare[span])
+        block = np.concatenate(
+            [
+                traj.dist[span].transpose(0, 2, 1).reshape(rows, -1),
+                traj.activation[span].transpose(0, 2, 1).reshape(rows, -1),
+                traj.flows[span].reshape(rows, -1)[:, off_diagonal],
+                traj.daily_welfare[span, None],
+            ],
+            axis=1,
+        )
+        for day, row in enumerate(block.tolist(), first):
+            out.write(f"{day},{repr(row)[1:-1].replace(', ', ',')}\n")
 
 
 def summary_payload(result: SimulationResult, wall_clock: float) -> dict:
@@ -145,9 +169,10 @@ def summary_payload(result: SimulationResult, wall_clock: float) -> dict:
 
 
 def write_run_artifacts(result: SimulationResult, out_dir: Path, wall_clock: float) -> None:
-    _atomic_write_text(out_dir / "timeseries.csv", render_timeseries(result))
-    payload = summary_payload(result, wall_clock)
-    _atomic_write_text(out_dir / "summary.json", json.dumps(payload, indent=2) + "\n")
+    with _atomic_open(out_dir / "timeseries.csv") as out:
+        render_timeseries(result, out)
+    with _atomic_open(out_dir / "summary.json") as out:
+        out.write(json.dumps(summary_payload(result, wall_clock), indent=2) + "\n")
 
 
 # --- social-state files -------------------------------------------------------
@@ -159,12 +184,11 @@ def write_social_state(social: SocialState, path: Path) -> None:
         "version": SOCIAL_STATE_VERSION,
         "num_zones": social.dist.num_zones,
         "a_max": social.policy.a_max,
-        "dist": [[float(x) for x in row] for row in social.dist.d],
-        "policy_class_rows": [
-            [[float(x) for x in row] for row in cls_rows] for cls_rows in social.policy.class_rows
-        ],
+        "dist": social.dist.d.tolist(),
+        "policy_class_rows": social.policy.class_rows.tolist(),
     }
-    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    with _atomic_open(path) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _read_json(path: Path, kind: str):
@@ -259,14 +283,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_point(point: tuple[dict, ScenarioConfig]):
-    fields, scenario = point
+def _run_point(numbered: tuple[int, tuple[dict, ScenarioConfig]]):
+    idx, (fields, scenario) = numbered
     start = time.perf_counter()
     try:
         result = simulate(scenario)
     except Exception as exc:  # reported per point, sweep continues
-        return fields, scenario, None, 0.0, f"{type(exc).__name__}: {exc}"
-    return fields, scenario, result, time.perf_counter() - start, None
+        return idx, fields, scenario, None, 0.0, f"{type(exc).__name__}: {exc}"
+    return idx, fields, scenario, result, time.perf_counter() - start, None
+
+
+def _sweep_outcomes(points, jobs: int):
+    """Each point's :func:`_run_point` outcome, in point order, its index first.
+
+    With ``jobs`` > 1 the points run in a process pool. While one outcome is
+    taken, ``jobs`` more are submitted and not yet taken, so every worker
+    stays busy and a sweep whose writer falls behind holds ``jobs`` + 1
+    results, not every finished one.
+    """
+    if jobs == 1:
+        yield from map(_run_point, enumerate(points))
+        return
+    import concurrent.futures  # only a parallel sweep pays for this import
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending = collections.deque()
+        for numbered in enumerate(points):
+            pending.append(pool.submit(_run_point, numbered))
+            if len(pending) > jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _sweep_points(args) -> list[tuple[dict, ScenarioConfig]]:
@@ -317,34 +364,29 @@ def cmd_sweep(args) -> int:
     if jobs < 1:
         raise ValidationError(f"--jobs must be >= 1; got {args.jobs}")
 
-    if jobs == 1:
-        outcomes = [_run_point(pt) for pt in points]
-    else:
-        import concurrent.futures  # only a parallel sweep pays for this import
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_point, points))
-
     out_root = Path(args.out) if args.out else Path("runs") / "sweep"
     field_names = list(points[0][0].keys())
     header = ["point", "name", *field_names, "total_infections", "peak_infections",
               "peak_day", "average_welfare", "days"]
-    lines = [",".join(header)]
     failures = []
-    for idx, (fields, scenario, result, wall, error) in enumerate(outcomes):
-        if error is not None:
-            failures.append((scenario.name, error))
-            continue
-        point_dir = out_root / "points" / f"{idx:03d}_{_safe_dirname(scenario.name)}"
-        write_run_artifacts(result, point_dir, wall)
-        m = result.metrics
-        row = [str(idx), scenario.name]
-        row += [_fmt(fields[k]) if isinstance(fields[k], float) else str(fields[k])
-                for k in field_names]
-        row += [_fmt(m.total_infections), _fmt(m.peak_infections), str(m.peak_day),
-                _fmt(m.average_welfare), str(len(result.trajectory) - 1)]
-        lines.append(",".join(row))
-    _atomic_write_text(out_root / "sweep.csv", "\n".join(lines) + "\n")
+    with _atomic_open(out_root / "sweep.csv") as csv:
+        csv.write(",".join(header) + "\n")
+        # Each outcome is written as it arrives and dropped before the next is taken
+        # (a new tuple each, as enumerate's reused one would keep the last result).
+        for idx, fields, scenario, result, wall, error in _sweep_outcomes(points, jobs):
+            if error is not None:
+                failures.append((scenario.name, error))
+                continue
+            point_dir = out_root / "points" / f"{idx:03d}_{_safe_dirname(scenario.name)}"
+            write_run_artifacts(result, point_dir, wall)
+            m = result.metrics
+            row = [str(idx), scenario.name]
+            row += [_fmt(fields[k]) if isinstance(fields[k], float) else str(fields[k])
+                    for k in field_names]
+            row += [_fmt(m.total_infections), _fmt(m.peak_infections), str(m.peak_day),
+                    _fmt(m.average_welfare), str(len(result.trajectory) - 1)]
+            csv.write(",".join(row) + "\n")
+            del result
 
     print(f"sweep points: {len(points)}, failed: {len(failures)}")
     print(f"aggregate: {out_root / 'sweep.csv'}")

@@ -335,9 +335,11 @@ def infection_waves(series, prominence: float = WAVE_PROMINENCE) -> tuple[bool, 
     if x.ndim != 1 or x.size == 0:
         raise ValidationError("wave detection needs a nonempty one-dimensional series")
 
+    x = x.tolist()  # Python floats: the same comparisons, without numpy scalars
+    has_nan = any(map(math.isnan, x))
     maxima: list[int] = []
     i = 0
-    n = x.size
+    n = len(x)
     while i < n:
         j = i
         while j + 1 < n and x[j + 1] == x[i]:
@@ -352,7 +354,10 @@ def infection_waves(series, prominence: float = WAVE_PROMINENCE) -> tuple[bool, 
     for a in range(len(maxima)):
         for b in range(a + 1, len(maxima)):
             t1, t2 = maxima[a], maxima[b]
-            trough = float(x[t1 + 1 : t2].min())
+            between = x[t1 + 1 : t2]
+            if has_nan and any(map(math.isnan, between)):
+                continue  # numpy's min gave NaN here, which no comparison passes
+            trough = min(between)
             if x[t1] - trough >= prominence and x[t2] - trough >= prominence:
                 qualifying.update((t1, t2))
     days = tuple(sorted(qualifying))

@@ -7,6 +7,7 @@ the calibration baked into them (epsilon 0.1, healthy agents evaluating
 options as if susceptible).
 """
 
+import io
 import time
 from dataclasses import replace
 
@@ -319,10 +320,16 @@ def test_criterion_12_migration_reversal_and_second_wave(preset_runs):
     assert wall < 10.0
 
 
+def rendered_bytes(result):
+    out = io.StringIO()
+    render_timeseries(result, out)
+    return out.getvalue().encode()
+
+
 def test_criterion_13_repeated_runs_render_byte_identical_series(preset_runs):
     for name in SINGLE_PRESETS:
         result, _ = preset_runs[name]
         again = simulate(preset(name))
-        first = render_timeseries(result).encode()
-        second = render_timeseries(again).encode()
+        first = rendered_bytes(result)
+        second = rendered_bytes(again)
         assert first == second

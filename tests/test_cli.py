@@ -4,10 +4,13 @@ The BLAS thread-count test runs the command in child processes, whose
 environment it sets.
 """
 
+import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,8 +18,16 @@ import numpy as np
 import pytest
 
 import epigame
-from epigame import preset, scenario_from_dict, simulate
-from epigame.cli import main, render_timeseries, summary_payload, timeseries_header
+from epigame import NumericsError, cli, preset, scenario_from_dict, simulate
+from epigame.cli import (
+    main,
+    render_timeseries,
+    summary_payload,
+    timeseries_header,
+    write_run_artifacts,
+    write_social_state,
+)
+from conftest import make_params, random_social
 from test_dynamics import seeded_scenario
 
 
@@ -28,6 +39,13 @@ def write_config(tmp_path, cfg, name="scenario.json"):
 
 def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
+
+
+def rendered(result):
+    """The text ``render_timeseries`` writes for ``result``."""
+    out = io.StringIO()
+    render_timeseries(result, out)
+    return out.getvalue()
 
 
 def drop_wall_clock(summary):
@@ -47,7 +65,7 @@ def test_simulate_artifacts_match_a_direct_run(tmp_path, capsys):
     assert "days simulated: 25" in capsys.readouterr().out
 
     result = simulate(cfg)
-    assert (out / "timeseries.csv").read_text() == render_timeseries(result)
+    assert (out / "timeseries.csv").read_text() == rendered(result)
     expected = summary_payload(result, wall_clock=0.0)
     assert drop_wall_clock(read_summary(out)) == drop_wall_clock(expected)
 
@@ -114,7 +132,78 @@ def csv_lines(text):
 def test_render_timeseries_matches_a_per_cell_oracle():
     for cfg in (preset("fig4_migration"), three_zone_scenario()):
         result = simulate(cfg)
-        assert csv_lines(render_timeseries(result)) == csv_lines(per_cell_timeseries(result))
+        assert csv_lines(rendered(result)) == csv_lines(per_cell_timeseries(result))
+
+
+def traced_write_peak(result, out_dir):
+    """Peak traced allocation while ``write_run_artifacts`` writes ``result``."""
+    tracemalloc.start()
+    try:
+        write_run_artifacts(result, out_dir, 0.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_a_run_holds_a_block_not_the_file(tmp_path):
+    short = simulate(replace(preset("fig4_migration"), horizon=50))
+    long = simulate(replace(preset("fig4_migration"), horizon=400))
+    assert len(long.trajectory) > 7 * len(short.trajectory)
+    write_run_artifacts(short, tmp_path / "warm", 0.0)  # first-call allocations
+    short_peak = traced_write_peak(short, tmp_path / "short")
+    long_peak = traced_write_peak(long, tmp_path / "long")
+    size = (tmp_path / "long" / "timeseries.csv").stat().st_size
+    row = size / len(long.trajectory)
+    # Both runs render in equal blocks of days; tracemalloc sees numpy's buffers
+    # too, so a table or text that grows with the run would show.
+    assert long_peak <= short_peak + 4 * row, (short_peak, long_peak, size)
+
+
+def test_a_failed_write_keeps_the_earlier_file_and_leaves_no_tmp(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    argv = ["simulate", "--preset", "fig4_migration", "--out", str(out), "--horizon"]
+    assert main(argv + ["5"]) == 0
+    before = {name: (out / name).read_bytes() for name in ("timeseries.csv", "summary.json")}
+    real = cli.render_timeseries
+
+    class FailsOnFourthLine:
+        def __init__(self, stream):
+            self.stream, self.lines = stream, 0
+
+        def write(self, text):
+            if self.lines == 3:
+                raise OSError("device full")
+            self.lines += 1
+            return self.stream.write(text)
+
+    def render_then_fail(result, stream):
+        real(result, FailsOnFourthLine(stream))
+
+    monkeypatch.setattr(cli, "render_timeseries", render_then_fail)
+    capsys.readouterr()
+    assert main(argv + ["10"]) == 1
+    assert "device full" in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == sorted(before)
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+@pytest.mark.parametrize("zones", [2, 10])
+def test_social_state_file_is_the_hand_built_document(tmp_path, zones):
+    p = make_params(num_zones=zones)
+    social = random_social(np.random.default_rng(zones), p)
+    doc = {
+        "format": "epigame-social-state",
+        "version": 1,
+        "num_zones": zones,
+        "a_max": p.a_max,
+        "dist": [[float(x) for x in row] for row in social.dist.d],
+        "policy_class_rows": [
+            [[float(x) for x in row] for row in rows] for rows in social.policy.class_rows
+        ],
+    }
+    write_social_state(social, tmp_path / "state.json")
+    assert (tmp_path / "state.json").read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+    assert not (tmp_path / "state.json.tmp").exists()
 
 
 def test_summary_reports_why_the_run_stopped(tmp_path):
@@ -417,6 +506,48 @@ def test_sweep_parallel_run_matches_serial(tmp_path):
     for point in sorted((serial / "points").iterdir()):
         twin = parallel / "points" / point.name
         assert (point / "timeseries.csv").read_bytes() == (twin / "timeseries.csv").read_bytes()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the workers must inherit the patched simulate",
+)
+def test_sweep_reports_a_failed_point_alike_at_any_job_count(tmp_path, monkeypatch, capsys):
+    real = cli.simulate
+
+    def simulate_or_fail(scenario):
+        if "lockdown.all=3" in scenario.name:
+            raise NumericsError("stalled")
+        return real(scenario)
+
+    monkeypatch.setattr(cli, "simulate", simulate_or_fail)
+    cfg_path = write_config(tmp_path, replace(preset("fig2b"), horizon=12))
+    base_args = ["sweep", "--config", str(cfg_path), "--grid", "lockdown.all=1,3,5"]
+    seen = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(base_args + ["--jobs", jobs, "--out", str(out)]) == 2
+        files = {
+            str(path.relative_to(out)): path.read_bytes() if path.name != "summary.json" else None
+            for path in out.rglob("*")
+            if path.is_file()
+        }
+        stdout, stderr = capsys.readouterr()
+        seen.append((stdout.replace(str(out), "<out>"), stderr, files))
+    assert seen[0] == seen[1]
+    stdout, stderr, files = seen[0]
+    assert "sweep points: 3, failed: 1" in stdout
+    assert "lockdown.all=3] failed: NumericsError: stalled" in stderr
+    assert sorted(files) == [
+        "points/000_fig2b_lockdown.all=1_/summary.json",
+        "points/000_fig2b_lockdown.all=1_/timeseries.csv",
+        "points/002_fig2b_lockdown.all=5_/summary.json",
+        "points/002_fig2b_lockdown.all=5_/timeseries.csv",
+        "sweep.csv",
+    ]
+    assert [line.split(",")[0] for line in files["sweep.csv"].decode().splitlines()] == [
+        "point", "0", "2"
+    ]
 
 
 def test_sweep_preset_family_with_short_horizon(tmp_path):

@@ -517,6 +517,45 @@ def test_wave_detection_rejects_bad_inputs():
         infection_waves(np.zeros((3, 2)))
 
 
+def waves_on_numpy_scalars(series, prominence):
+    """The wave rule as first written, indexing numpy scalars: the oracle below."""
+    x = np.asarray(series, dtype=float)
+    maxima = []
+    i, n = 0, x.size
+    while i < n:
+        j = i
+        while j + 1 < n and x[j + 1] == x[i]:
+            j += 1
+        left = x[i - 1] if i > 0 else -np.inf
+        right = x[j + 1] if j + 1 < n else -np.inf
+        if x[i] > left and x[i] > right:
+            maxima.append(i)
+        i = j + 1
+    qualifying = set()
+    for a in range(len(maxima)):
+        for b in range(a + 1, len(maxima)):
+            t1, t2 = maxima[a], maxima[b]
+            trough = float(x[t1 + 1 : t2].min())
+            if x[t1] - trough >= prominence and x[t2] - trough >= prominence:
+                qualifying.update((t1, t2))
+    days = tuple(sorted(qualifying))
+    return len(days) >= 2, days
+
+
+def test_wave_detection_matches_the_numpy_scalar_rule():
+    rng = np.random.default_rng(7)
+    specials = [np.nan, np.inf, -np.inf]
+    for trial in range(300):
+        # Few levels, so plateaus and equal peaks are common.
+        series = rng.integers(0, 6, size=int(rng.integers(1, 40))) / 100.0
+        if trial % 5 == 0:
+            series[rng.integers(0, series.size)] = specials[trial % 3]
+        for prominence in (0.005, 0.01, 0.03):
+            expected = waves_on_numpy_scalars(series, prominence)
+            assert infection_waves(series, prominence) == expected, (series, prominence)
+            assert infection_waves(list(series), prominence) == expected
+
+
 def test_zone_wave_lookup_validates_the_zone():
     result = simulate(replace(preset("fig2a"), horizon=10))
     with pytest.raises(ValidationError):
