@@ -238,22 +238,23 @@ def read_social_state(path: Path, *, num_zones: int, a_max: int) -> SocialState:
 # --- scenario loading ---------------------------------------------------------
 
 
-def _load_scenario(args) -> ScenarioConfig | list[ScenarioConfig]:
-    if getattr(args, "preset", None) and getattr(args, "config", None):
+def _load_scenario(args) -> ScenarioConfig:
+    if args.preset and args.config:
         raise ValidationError("give either --preset or --config, not both")
-    if getattr(args, "preset", None):
-        return preset(args.preset)
-    if getattr(args, "config", None):
+    if args.preset:
+        scenario = preset(args.preset)
+        if isinstance(scenario, list):
+            raise ValidationError(
+                f"preset {args.preset!r} is a sweep of {len(scenario)} runs; use the sweep command"
+            )
+        return scenario
+    if args.config:
         return scenario_from_dict(_read_json(Path(args.config), "config"))
     raise ValidationError("one of --preset or --config is required")
 
 
 def _single_scenario(args) -> ScenarioConfig:
     scenario = _load_scenario(args)
-    if isinstance(scenario, list):
-        raise ValidationError(
-            f"preset {args.preset!r} is a sweep of {len(scenario)} runs; use the sweep command"
-        )
     if getattr(args, "horizon", None) is not None:
         scenario = replace(scenario, horizon=args.horizon)
     return scenario

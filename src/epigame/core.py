@@ -118,6 +118,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_flag(value) -> bool:
+    """True for Python and numpy bools only: no other value is read as a flag."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def is_real(value) -> bool:
     """True for integers and finite floats, Python or numpy, but not for bools."""
     return is_integer(value) or (isinstance(value, (float, np.floating)) and math.isfinite(value))

@@ -30,6 +30,8 @@ from .core import (
     checked_index,
     flatten_state_table,
     float_entries,
+    is_flag,
+    is_real,
     numeric_table,
     policy_rows,
     same_dims,
@@ -55,11 +57,6 @@ TIE_TOL = 1e-9
 # Residual bound for the direct linear solve of the value equation, in units
 # of max(1, |r|_inf / (1 - alpha)), the scale of V.
 VALUE_RESIDUAL_TOL = 1e-10
-
-# The symptomatic and recovered reward rows must split into a degree part and
-# a move cost to within this, in units of max(1, |rows|_inf): a few roundings
-# of the sums that build a RewardConfig's table.
-SEPARATION_TOL = 1e-14
 
 # Healthy mass below this falls back to the susceptible row when weighting Q.
 BELIEF_FLOOR = 1e-12
@@ -234,23 +231,26 @@ class DayRows(NamedTuple):
 class DayPlan:
     """What stays fixed over one scenario's day updates, built and checked once.
 
-    ``table`` is a :class:`~epigame.rewards.RewardConfig`'s reward table,
-    checked against the parameters' (5, Z, J). :meth:`state_rewards`,
+    ``rewards`` is the scenario's :class:`~epigame.rewards.RewardConfig`,
+    checked against the parameters' dimensions. :meth:`state_rewards`,
     :meth:`terms` and :meth:`target` evaluate a day on plain arrays: class
-    rows (3, Z, J) and the distribution table (5, Z). They work per behavior
-    class and build no per-state (5, Z, J) table, nor any of the public
-    containers. They check the kernel, the value residual and the logit
-    target's rows, but not the values they derive in range.
+    rows (3, Z, J) of those dimensions and the distribution table (5, Z).
+    They work per behavior class and build no per-state (5, Z, J) table,
+    nor any of the public containers. They check the kernel, the value
+    residual and the logit target's rows, but not the values they derive in
+    range.
 
     From :data:`BLOCK_SOLVE_MIN_ZONES` zones up the plan is ``structured``:
     the day's kernel stays in its :class:`~epigame.epidemic.KernelBlocks`,
     and the symptomatic and recovered logit rows are products of a softmax
-    over the target zone and the plan's ``degree_logit``. That needs their
-    reward rows to split into a degree part and the ``move_cost``, which the
-    plan checks (:func:`separate_rewards`).
+    over the target zone and the plan's ``degree_logit``. Their reward for
+    the action (t, a) in zone z is ``degree[c, z, a] - move_cost[z, t]``,
+    both read from the config's fields: the degree part is ``benefit -
+    activation_cost`` of the class's state, less ``illness_cost`` for I,
+    and the move cost is ``migration_cost`` for a move to another zone.
     """
 
-    table: np.ndarray  # (5, Z, J)
+    rewards: RewardConfig
     params: ModelParams
     healthy_q: str = "belief"
     infected_forced_home: bool = True
@@ -265,19 +265,19 @@ class DayPlan:
     move_cost: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        p = self.params
-        expected = (NUM_STATES, p.num_zones, p.num_actions)
-        if self.table.shape != expected:
-            raise ValidationError(
-                f"reward table shape {self.table.shape} does not match {expected}"
-            )
+        p, cfg = self.params, self.rewards
+        same_dims("reward table", cfg, "parameters", p)
         check_healthy_q(self.healthy_q)
         feasible = feasible_actions(p, self.infected_forced_home)[:, None, :]
-        penalty, class_table = action_penalty(feasible), class_reward_table(self.table)
+        penalty, class_table = action_penalty(feasible), class_reward_table(cfg.table)
         structured = p.num_zones >= BLOCK_SOLVE_MIN_ZONES
         degree_logit = move_cost = None
         if structured:
-            degree, move_cost = separate_rewards(class_table, p.a_max + 1)
+            _, _, I, R, _ = STATE_INDEX
+            degree = cfg.benefit - cfg.activation_cost[[I, R]]  # (2, Z, a_max+1)
+            degree[0] -= cfg.illness_cost
+            zones = np.arange(p.num_zones)
+            move_cost = np.where(zones[:, None] != zones, cfg.migration_cost, 0.0)
             degree_logit = logit_rows(degree, penalty[1:, :, : p.a_max + 1], p.rationality)
         store(self, degrees=action_degrees(p.a_max, p.num_zones).astype(float),
               powers=np.arange(p.a_max + 1), law=idle_law(p), penalty=penalty,
@@ -290,11 +290,6 @@ class DayPlan:
         A simulated day builds them once and shares them between its
         observation and :meth:`terms`.
         """
-        if class_rows.shape != self.class_table.shape:
-            raise ValidationError(
-                f"reward table shape {self.table.shape} does not match "
-                f"class rows {class_rows.shape}"
-            )
         marginals = class_marginals(class_rows, self.degrees)
         return DayRows(class_rows, *marginals, class_expected_rewards(class_rows, self.class_table))
 
@@ -355,36 +350,16 @@ class DayPlan:
         return policy_rows(rows, p.a_max)
 
 
-def separate_rewards(class_table: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The degree part (2, Z, width) and the move cost (Z, Z') of the I and R class rows.
-
-    A class reward table's symptomatic and recovered rows are ``degree[c, z,
-    a] - move[z, t]`` for the action (t, a): the degree part is the reward
-    of staying, and the move cost the recovered class's loss at degree 0
-    from moving from z to t. Raises ValidationError unless both rows
-    separate so, within :data:`SEPARATION_TOL`.
-    """
-    zones = class_table.shape[1]
-    by_target = class_table[1:].reshape(2, zones, zones, width)
-    own = np.arange(zones)
-    degree = by_target[:, own, own]  # (2, Z, width), a copy
-    move = degree[1, :, :1] - by_target[1, :, :, 0]
-    separated = degree[:, :, None, :] - move[:, :, None]
-    scale = max(1.0, float(np.abs(by_target).max()))
-    if not np.abs(separated - by_target).max() <= SEPARATION_TOL * scale:
-        raise ValidationError(
-            "the symptomatic and recovered rewards must split into a degree part "
-            "and a move cost"
-        )
-    return degree, move
-
-
 def feasible_actions(p: ModelParams, infected_forced_home: bool = True) -> np.ndarray:
     """Boolean (3, J) mask of actions available to each behavior class.
 
     With ``infected_forced_home`` the symptomatic class may only pick
     degree 0 (choice of tomorrow's zone stays free).
     """
+    if not is_flag(infected_forced_home):
+        raise ValidationError(
+            f"infected_forced_home must be true or false; got {infected_forced_home!r}"
+        )
     mask = np.ones((NUM_CLASSES, p.num_actions), dtype=bool)
     if infected_forced_home:
         mask[BehaviorClass.SYMPTOMATIC] = action_degrees(p.a_max, p.num_zones) == 0
@@ -509,7 +484,7 @@ def blend(current: np.ndarray, target: np.ndarray, inertia: float) -> np.ndarray
 
 def policy_update(current: Policy, target: Policy, inertia: float) -> Policy:
     """Inertial step from ``current`` toward ``target``."""
-    if not 0.0 < inertia <= 1.0:
-        raise ValidationError(f"inertia must lie in (0, 1]; got {inertia}")
+    if not (is_real(inertia) and 0.0 < inertia <= 1.0):
+        raise ValidationError(f"inertia must be a real number in (0, 1]; got {inertia!r}")
     same_dims("current policy", current, "target policy", target)
     return Policy(blend(current.class_rows, target.class_rows.copy(), inertia), current.a_max)

@@ -29,6 +29,7 @@ from .core import (
     checked_index,
     float_entries,
     is_real,
+    same_dims,
     store,
 )
 from .decision import DayPlan, DayRows, blend
@@ -235,7 +236,8 @@ def step(
     infected_forced_home: bool = True,
 ) -> SocialState:
     """One simultaneous day update of policy and distribution."""
-    plan = DayPlan(cfg.table, p, healthy_q, infected_forced_home)
+    plan = DayPlan(cfg, p, healthy_q, infected_forced_home)
+    same_dims("policy", social.policy, "parameters", p)
     return _advance(plan, social, plan.state_rewards(social.policy.class_rows))
 
 
@@ -246,7 +248,7 @@ def _days(scenario: ScenarioConfig) -> Iterator[tuple[SocialState, DayRows]]:
     caller asks for it, from the rows already handed out.
     """
     plan = DayPlan(
-        scenario.reward_config().table,
+        scenario.reward_config(),
         scenario.params,
         scenario.healthy_q,
         scenario.infected_forced_home,

@@ -204,10 +204,11 @@ def check_equilibrium(
     """
     if not (is_real(tol) and tol > 0.0):
         raise ValidationError(f"tol must be a finite positive number; got {tol!r}")
-    plan = DayPlan(cfg.table, p, infected_forced_home=infected_forced_home)
+    plan = DayPlan(cfg, p, infected_forced_home=infected_forced_home)
+    same_dims("policy", social.policy, "parameters", p)
     d = social.dist.d
     kernel, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
-    q = lookahead_q(stay, values, plan.table, plan.law, p.alpha)
+    q = lookahead_q(stay, values, cfg.table, plan.law, p.alpha)
 
     states = social.policy.class_rows.take(CLASS_OF_STATE, axis=0)
     averaged = np.einsum("szj,szj->sz", states, q)

@@ -19,6 +19,7 @@ from .core import (
     action_targets,
     checked_index,
     float_entries,
+    is_integer,
     is_real,
     same_dims,
     store,
@@ -100,8 +101,8 @@ class RewardConfig:
 
 def linear_benefit(a_max: int) -> np.ndarray:
     """Benefit proportional to the degree, normalized so the maximum is 1."""
-    if a_max < 1:
-        raise ValidationError(f"linear benefit needs a_max >= 1; got {a_max}")
+    if not (is_integer(a_max) and a_max >= 1):
+        raise ValidationError(f"linear benefit needs an integer a_max >= 1; got {a_max!r}")
     return np.arange(a_max + 1) / a_max
 
 

@@ -25,6 +25,7 @@ from .core import (
     SocialState,
     StateDistribution,
     ValidationError,
+    is_flag,
     is_integer,
     is_real,
     no_move_rows,
@@ -81,7 +82,7 @@ class ScenarioConfig:
                 raise ValidationError(f"{name} must be a finite positive number; got {value!r}")
         for name in ("infected_forced_home", "subtract_initial_immune"):
             value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
+            if not is_flag(value):
                 raise ValidationError(f"{name} must be true or false; got {value!r}")
         check_healthy_q(self.healthy_q)
         o = benefit if benefit is not None else linear_benefit(a_max)

@@ -1,12 +1,15 @@
-"""Shared builders for randomized test inputs.
+"""Shared builders for randomized test inputs, and the shared preset runs.
 
 Every helper takes an explicit ``numpy`` Generator so each test controls
 its own seed and stays reproducible in isolation.
 """
 
-import numpy as np
+import time
 
-from epigame import ModelParams, Policy, SocialState, StateDistribution
+import numpy as np
+import pytest
+
+from epigame import ModelParams, Policy, SocialState, StateDistribution, preset, simulate
 from epigame.core import NUM_CLASSES, NUM_STATES, BehaviorClass, action_degrees
 from epigame.rewards import RewardConfig
 
@@ -78,3 +81,21 @@ def random_reward_config(rng: np.random.Generator, p: ModelParams) -> RewardConf
         migration_cost=float(rng.uniform(0.0, 3.0)),
         illness_cost=float(rng.uniform(0.0, 12.0)),
     )
+
+
+SINGLE_PRESETS = ("fig2a", "fig2b", "fig2c", "fig4_migration")
+
+
+@pytest.fixture(scope="session")
+def preset_runs():
+    """Each bundled single-run preset, simulated once per session, with wall time.
+
+    For tests that only read a finished result. Tests that patch numpy,
+    compare reruns or time their own runs make runs of their own.
+    """
+    runs = {}
+    for name in SINGLE_PRESETS:
+        start = time.perf_counter()
+        result = simulate(preset(name))
+        runs[name] = (result, time.perf_counter() - start)
+    return runs

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_params, random_reward_config, random_social
+from conftest import SINGLE_PRESETS, make_params, random_reward_config, random_social
 
 from epigame import (
     BehaviorClass,
@@ -37,19 +37,7 @@ from epigame import (
 from epigame.core import CLASS_OF_STATE, NUM_STATES, flatten_state_table
 from epigame.cli import render_timeseries
 
-SINGLE_PRESETS = ("fig2a", "fig2b", "fig2c", "fig4_migration")
 TIE_TOL = 1e-9
-
-
-@pytest.fixture(scope="module")
-def preset_runs():
-    """Each bundled single-run preset, simulated once, with wall time."""
-    runs = {}
-    for name in SINGLE_PRESETS:
-        start = time.perf_counter()
-        result = simulate(preset(name))
-        runs[name] = (result, time.perf_counter() - start)
-    return runs
 
 
 @pytest.fixture(scope="module")

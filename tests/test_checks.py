@@ -374,7 +374,7 @@ def test_kernel_block_check_matches_the_dense_matrix_check():
     # every corruption of a block fails as the matrix it stands for does.
     rng = np.random.default_rng(1106)
     p = make_params(num_zones=BLOCK_SOLVE_MIN_ZONES, a_max=3)
-    plan = DayPlan(random_reward_config(rng, p).table, p)
+    plan = DayPlan(random_reward_config(rng, p), p)
     for _ in range(CASES // 10):
         social = random_social(rng, p)
         blocks, _, _ = plan.terms(plan.state_rewards(social.policy.class_rows), social.dist.d)
@@ -494,11 +494,11 @@ def test_containers_store_a_read_only_array_of_their_own(build, stored, given):
 
 def test_derived_tables_and_run_columns_are_read_only():
     scenario = replace(preset("fig4_migration"), horizon=3)
-    table = scenario.reward_config().table
-    plan = DayPlan(table, scenario.params)
+    cfg = scenario.reward_config()
+    plan = DayPlan(cfg, scenario.params)
     traj = simulate(scenario).trajectory
     kept = {
-        "RewardConfig.table": table,
+        "RewardConfig.table": cfg.table,
         **{f"DayPlan.{name}": getattr(plan, name)
            for name in ("degrees", "powers", "law", "penalty", "class_table")},
         **{f"Trajectory.{name}": getattr(traj, name)

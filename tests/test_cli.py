@@ -129,9 +129,8 @@ def csv_lines(text):
     return text.splitlines(keepends=True)
 
 
-def test_render_timeseries_matches_a_per_cell_oracle():
-    for cfg in (preset("fig4_migration"), three_zone_scenario()):
-        result = simulate(cfg)
+def test_render_timeseries_matches_a_per_cell_oracle(preset_runs):
+    for result in (preset_runs["fig4_migration"][0], simulate(three_zone_scenario())):
         assert csv_lines(rendered(result)) == csv_lines(per_cell_timeseries(result))
 
 

@@ -14,6 +14,8 @@ from epigame import (
     TransitionKernel,
     ValidationError,
     best_response,
+    check_equilibrium,
+    construct_equilibrium,
     expected_reward,
     feasible_actions,
     immediate_reward,
@@ -23,6 +25,7 @@ from epigame import (
     q_function,
     simulate,
     state_transition,
+    step,
     transition_matrix,
     uniform_no_move_policy,
     value_function,
@@ -41,6 +44,7 @@ from epigame import decision, epidemic
 from epigame.decision import TIE_TOL, DayPlan, check_healthy_q, healthy_blend
 from conftest import make_params, random_reward_config, random_social
 
+from test_dynamics import seeded_scenario
 from test_rewards import zero_cost_config
 
 
@@ -140,7 +144,7 @@ def test_day_terms_match_the_public_pieces():
         cfg = random_reward_config(rng, p)
         social = random_social(rng, p)
         d = social.dist.d
-        plan = DayPlan(cfg.table, p)
+        plan = DayPlan(cfg, p)
         kernel, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
         expected_kernel, expected_values = solved_value(social, cfg, p)
         assert plan.structured == (num_zones >= decision.BLOCK_SOLVE_MIN_ZONES)
@@ -184,7 +188,7 @@ def test_the_day_cores_values_match_the_dense_solve():
         p = make_params(num_zones=num_zones, a_max=3, alpha=float(rng.uniform(0.8, 0.99)))
         cfg = random_reward_config(rng, p)
         social = random_social(rng, p)
-        plan = DayPlan(cfg.table, p)
+        plan = DayPlan(cfg, p)
         rows = plan.state_rewards(social.policy.class_rows)
         kernel, stay, values = plan.terms(rows, social.dist.d)
         rewards = rows.rewards
@@ -203,12 +207,30 @@ def test_the_day_cores_values_match_the_dense_solve():
         assert np.array_equal(q, q_function(social, values, cfg, p))
 
 
+def split_class_rewards(class_table, width):
+    """The degree part (2, Z, width) and the move cost (Z, Z') re-derived from a class table.
+
+    The symptomatic and recovered rows are ``degree[c, z, a] - move[z, t]``
+    for the action (t, a): the degree part is the reward of staying, and the
+    move cost the recovered class's loss at degree 0 from moving from z to t.
+    """
+    zones = class_table.shape[1]
+    by_target = class_table[1:].reshape(2, zones, zones, width)
+    own = np.arange(zones)
+    degree = by_target[:, own, own]  # a copy
+    return degree, degree[1, :, :1] - by_target[1, :, :, 0]
+
+
 def test_the_factorised_target_rows_match_the_full_logit():
     # From BLOCK_SOLVE_MIN_ZONES up the I and R rows are a product of two
     # softmaxes; the healthy row still runs the full logit, bit for bit. The
     # full logit rounds its scores rationality * Q to their own ulp, so the
     # rows are held to 1e-15 (4.5 ulp) of that scale: 1e-14 up to a scale of 10.
+    # The plan reads its split from the RewardConfig's fields; for a
+    # scenario's config (no lockdown cost at degree 0) that is the split of
+    # its class table, bit for bit.
     rng = np.random.default_rng(29)
+    seeds = iter(range(2900, 3000))
     for num_zones in (20, 40):
         for mode in decision.HEALTHY_Q_MODES:
             for forced_home in (True, False):
@@ -216,32 +238,28 @@ def test_the_factorised_target_rows_match_the_full_logit():
                                 rationality=float(rng.uniform(1.0, 30.0)))
                 cfg = random_reward_config(rng, p)
                 social = random_social(rng, p, forced_home)
-                d = social.dist.d
-                plan = DayPlan(cfg.table, p, mode, forced_home)
-                _, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
-                weights = decision.belief_weights(d) if mode == "belief" else None
-                cq = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha,
-                                          weights)
-                scale = max(1.0, p.rationality * float(np.abs(cq[1:]).max()))
-                full = policy_rows(decision.logit_rows(cq, plan.penalty, p.rationality), p.a_max)
-                target = plan.target(stay, values, d)
-                assert np.array_equal(target[0], full[0])
-                assert np.max(np.abs(target[1:] - full[1:])) <= 1e-15 * scale
-
-
-def test_a_structured_plan_rejects_rewards_that_do_not_separate():
-    rng = np.random.default_rng(30)
-    for num_zones in (decision.BLOCK_SOLVE_MIN_ZONES, 40):
-        p = make_params(num_zones=num_zones, a_max=3)
-        for state in (InfectionState.I, InfectionState.R):
-            table = random_reward_config(rng, p).table.copy()
-            table[state, int(rng.integers(num_zones)), int(rng.integers(p.num_actions))] += 1e-6
-            with pytest.raises(ValidationError, match="must split into a degree part"):
-                DayPlan(table, p)
-    small = make_params(num_zones=decision.BLOCK_SOLVE_MIN_ZONES - 1, a_max=3)
-    table = random_reward_config(rng, small).table.copy()
-    table[InfectionState.R, 0, 1] += 1e-6
-    assert not DayPlan(table, small).structured  # the full logit needs no split
+                scenario = seeded_scenario(next(seeds), mode, forced_home, num_zones)
+                built = (scenario.reward_config(), scenario.params,
+                         random_social(rng, scenario.params, forced_home))
+                for cfg, p, social in ((cfg, p, social), built):
+                    d = social.dist.d
+                    plan = DayPlan(cfg, p, mode, forced_home)
+                    degree, move = split_class_rewards(plan.class_table, p.a_max + 1)
+                    penalty = plan.penalty[1:, :, : p.a_max + 1]
+                    assert np.array_equal(plan.degree_logit,
+                                          decision.logit_rows(degree, penalty, p.rationality))
+                    if cfg is built[0]:
+                        assert np.array_equal(plan.move_cost, move)
+                    _, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
+                    weights = decision.belief_weights(d) if mode == "belief" else None
+                    cq = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha,
+                                              weights)
+                    scale = max(1.0, p.rationality * float(np.abs(cq[1:]).max()))
+                    full = policy_rows(decision.logit_rows(cq, plan.penalty, p.rationality),
+                                       p.a_max)
+                    target = plan.target(stay, values, d)
+                    assert np.array_equal(target[0], full[0])
+                    assert np.max(np.abs(target[1:] - full[1:])) <= 1e-15 * scale
 
 
 def test_the_days_mean_degree_is_the_policys():
@@ -249,7 +267,7 @@ def test_the_days_mean_degree_is_the_policys():
     for num_zones, a_max in ((1, 0), (1, 6), (2, 3), (6, 8), (40, 6)):
         p = make_params(num_zones=num_zones, a_max=a_max)
         policy = random_social(rng, p).policy
-        rows = DayPlan(random_reward_config(rng, p).table, p).state_rewards(policy.class_rows)
+        rows = DayPlan(random_reward_config(rng, p), p).state_rewards(policy.class_rows)
         assert np.array_equal(rows.mean_degree, policy.mean_degrees())
 
 
@@ -365,6 +383,23 @@ def test_feasible_actions_masks():
     home = action_degrees(p.a_max, 2) == 0
     assert np.array_equal(mask[BehaviorClass.SYMPTOMATIC], home)
     assert feasible_actions(p, infected_forced_home=False).all()
+    # Every entry point that takes the flag reads it as a bool only.
+    rng = np.random.default_rng(34)
+    cfg, social = random_reward_config(rng, p), random_social(rng, p)
+    split = np.zeros((NUM_STATES, 2))
+    split[InfectionState.S, 0] = 1.0
+    entries = (
+        lambda flag: feasible_actions(p, flag),
+        lambda flag: step(social, cfg, p, infected_forced_home=flag),
+        lambda flag: check_equilibrium(social, cfg, p, infected_forced_home=flag),
+        lambda flag: logit_choice(np.zeros((NUM_STATES, 2, p.num_actions)), social.dist.d, p,
+                                  infected_forced_home=flag),
+        lambda flag: construct_equilibrium(cfg, p, split, infected_forced_home=flag),
+    )
+    for call in entries:
+        for coerced in ("no", None, 0):
+            with pytest.raises(ValidationError, match="infected_forced_home"):
+                call(coerced)
 
 
 # --- class-level deviation values ---------------------------------------------------
@@ -416,7 +451,7 @@ def test_class_q_falls_back_to_the_susceptible_row_in_a_zone_empty_of_healthy():
     weights = decision.belief_weights(d)
     assert weights[:, 1].tolist() == [1.0, 0.0, 0.0]
     assert np.allclose(weights.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
-    plan = DayPlan(cfg.table, p)
+    plan = DayPlan(cfg, p)
     stay, values = epidemic.survival(social, p), rng.normal(size=(NUM_STATES, 3))
     belief = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha, weights)
     susceptible = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha)
@@ -593,6 +628,8 @@ def test_policy_update_rejects_bad_weight_and_mismatch():
         policy_update(pi, pi, 0.0)
     with pytest.raises(ValidationError):
         policy_update(pi, pi, 1.0001)
+    with pytest.raises(ValidationError, match="inertia"):
+        policy_update(pi, pi, True)
     other = random_social(rng, make_params(num_zones=3, a_max=3)).policy
     with pytest.raises(ValidationError):
         policy_update(pi, other, 0.5)

@@ -320,7 +320,7 @@ def test_observed_flows_and_activation_match_loops_over_actions():
         zones = d.shape[1]
         p = make_params(num_zones=zones, a_max=a_max)
         social = SocialState(Policy(class_rows, a_max), StateDistribution(d))
-        plan = decision.DayPlan(random_reward_config(rng, p).table, p)
+        plan = decision.DayPlan(random_reward_config(rng, p), p)
         rows = plan.state_rewards(social.policy.class_rows)
         _, activation, flow, _ = dynamics._observe(social, rows)
         state_rows = social.policy.state_rows()
@@ -348,6 +348,11 @@ def test_step_and_checker_reject_a_reward_config_of_other_dimensions():
         step(social, one_zone.reward_config(), make_params(num_zones=2))
     with pytest.raises(ValidationError, match="reward table"):
         check_equilibrium(social, one_zone.reward_config(), make_params(num_zones=2))
+    one_zone_params = make_params(num_zones=1)
+    with pytest.raises(ValidationError, match="policy num_zones=2 does not match parameters"):
+        step(social, one_zone.reward_config(), one_zone_params)
+    with pytest.raises(ValidationError, match="policy num_zones=2 does not match parameters"):
+        check_equilibrium(social, one_zone.reward_config(), one_zone_params)
 
 
 def test_trajectory_rejects_bad_day_sequences():
@@ -424,7 +429,7 @@ def test_a_run_keeps_columns_only_until_its_records_are_read():
 )
 def test_replayed_records_match_the_run_columns(scenario):
     traj = simulate(scenario).trajectory
-    plan = decision.DayPlan(scenario.reward_config().table, scenario.params,
+    plan = decision.DayPlan(scenario.reward_config(), scenario.params,
                    scenario.healthy_q, scenario.infected_forced_home)
     for day, rec in enumerate(traj.records):
         assert rec.day == day

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from epigame import preset, simulate
+from epigame import preset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,9 +45,9 @@ def test_the_readme_table_lists_every_preset_zone():
         assert sorted(zone for zone, _, _ in rows) == list(range(zones))
 
 
-@pytest.fixture(scope="module", params=PRESETS)
-def preset_run(request):
-    return request.param, simulate(preset(request.param)).metrics
+@pytest.fixture(params=PRESETS)
+def preset_run(request, preset_runs):
+    return request.param, preset_runs[request.param][0].metrics
 
 
 def test_the_readme_table_matches_the_presets_at_printed_precision(preset_run):

@@ -45,6 +45,9 @@ def test_linear_benefit_rejects_degenerate_degree():
         linear_benefit(0)
     with pytest.raises(ValidationError):
         linear_benefit(-2)
+    for coerced in (2.5, True):
+        with pytest.raises(ValidationError, match="a_max"):
+            linear_benefit(coerced)
 
 
 # --- lockdown fines -------------------------------------------------------------
