@@ -67,7 +67,7 @@ CLASS_OF_STATE = np.array([0, 0, 1, 2, 0], dtype=np.intp)
 CLASS_OF_STATE.setflags(write=False)
 
 #: Representative InfectionState of each BehaviorClass, indexable by class value:
-#: S for the healthy class (its states share one cost table), then I and R.
+#: S for the healthy class (its states share one reward row), then I and R.
 STATE_OF_CLASS = np.array([0, 2, 3], dtype=np.intp)
 STATE_OF_CLASS.setflags(write=False)
 

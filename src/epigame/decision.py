@@ -49,7 +49,7 @@ from .epidemic import (
     survival,
     survival_table,
 )
-from .rewards import RewardConfig, class_expected_rewards, class_reward_table
+from .rewards import RewardConfig, class_expected_rewards
 
 # Q values closer than this are treated as tied when picking best responses.
 TIE_TOL = 1e-9
@@ -168,18 +168,17 @@ def lookahead_q(
 ) -> np.ndarray:
     """Reward ``table`` plus discounted ``values`` of tomorrow's state, into ``out`` if given.
 
-    ``table`` is per state (5, Z, J) or per behavior class (3, Z, J), the
-    rows of each class's :data:`~epigame.core.STATE_OF_CLASS`, or the
-    leading rows of one. Tomorrow lies
-    in the action's target zone t (the flat action axis splits into target
-    and degree). Only the first row, S's, depends on today's zone and
-    degree: S survives with probability ``stay`` (Z, a_max+1) or turns A.
-    Every other row is ``table + alpha * (law @ values)[s, t]``, ``law``
-    being the :func:`~epigame.epidemic.idle_law`. With ``weights``, the
-    :func:`belief_weights` (w_S, w_A, w_U) of a class table, the first row
-    is the healthy class's blend of the S, A and U rows, which share one
-    reward table: ``table + alpha * (base[z, t] + w_S[z] * stay[z, a] *
-    (V_S - V_A)[t])`` with ``base = w_S V_A + w_A (law @ V)_A + w_U (law @ V)_U``.
+    ``table`` is per state (5, Z, J) or per behavior class (3, Z, J), as
+    :attr:`~epigame.rewards.RewardConfig.table` is, or the leading rows of
+    one. Tomorrow lies in the action's target zone t (the flat action axis
+    splits into target and degree). Only the first row, S's, depends on
+    today's zone and degree: S survives with probability ``stay``
+    (Z, a_max+1) or turns A. Every other row is ``table + alpha * (law @
+    values)[s, t]``, ``law`` being the :func:`~epigame.epidemic.idle_law`.
+    With ``weights``, the :func:`belief_weights` (w_S, w_A, w_U) of a class
+    table, the first row is the healthy class's blend of the S, A and U
+    rows, which share the healthy reward row: ``table + alpha * (base[z, t]
+    + w_S[z] * stay[z, a] * (V_S - V_A)[t])`` with ``base = w_S V_A + w_A (law @ V)_A + w_U (law @ V)_U``.
     """
     zones, width = stay.shape
     S, A, I, R, U = STATE_INDEX
@@ -215,7 +214,8 @@ def q_function(
     """
     same_dims("reward config", cfg, "parameters", p)
     values = numeric_table("values", values, (NUM_STATES, p.num_zones))
-    return lookahead_q(survival(social, p), values, cfg.table, idle_law(p), p.alpha)
+    table = cfg.table.take(CLASS_OF_STATE, axis=0)
+    return lookahead_q(survival(social, p), values, table, idle_law(p), p.alpha)
 
 
 class DayRows(NamedTuple):
@@ -232,7 +232,8 @@ class DayPlan:
     """What stays fixed over one scenario's day updates, built and checked once.
 
     ``rewards`` is the scenario's :class:`~epigame.rewards.RewardConfig`,
-    checked against the parameters' dimensions. :meth:`state_rewards`,
+    checked against the parameters' dimensions; its class table (3, Z, J)
+    prices each class's actions as it is. :meth:`state_rewards`,
     :meth:`terms` and :meth:`target` evaluate a day on plain arrays: class
     rows (3, Z, J) of those dimensions and the distribution table (5, Z).
     They work per behavior class and build no per-state (5, Z, J) table,
@@ -246,7 +247,7 @@ class DayPlan:
     over the target zone and the plan's ``degree_logit``. Their reward for
     the action (t, a) in zone z is ``degree[c, z, a] - move_cost[z, t]``,
     both read from the config's fields: the degree part is ``benefit -
-    activation_cost`` of the class's state, less ``illness_cost`` for I,
+    activation_cost`` of the class, less ``illness_cost`` for I,
     and the move cost is ``migration_cost`` for a move to another zone.
     """
 
@@ -258,7 +259,6 @@ class DayPlan:
     powers: np.ndarray = field(init=False, repr=False)  # (a_max+1,) contacts per degree
     law: np.ndarray = field(init=False, repr=False)  # (5, 5) idle_law
     penalty: np.ndarray = field(init=False, repr=False)  # (3, 1, J) action_penalty; 0 if feasible
-    class_table: np.ndarray = field(init=False, repr=False)  # (3, Z, J) class_reward_table
     structured: bool = field(init=False, repr=False)
     # Structured plans only: the I and R degree softmax (2, Z, a_max+1) and the move cost (Z, Z').
     degree_logit: np.ndarray | None = field(init=False, repr=False)
@@ -268,21 +268,18 @@ class DayPlan:
         p, cfg = self.params, self.rewards
         same_dims("reward table", cfg, "parameters", p)
         check_healthy_q(self.healthy_q)
-        feasible = feasible_actions(p, self.infected_forced_home)[:, None, :]
-        penalty, class_table = action_penalty(feasible), class_reward_table(cfg.table)
+        penalty = action_penalty(feasible_actions(p, self.infected_forced_home)[:, None, :])
         structured = p.num_zones >= BLOCK_SOLVE_MIN_ZONES
         degree_logit = move_cost = None
         if structured:
-            _, _, I, R, _ = STATE_INDEX
-            degree = cfg.benefit - cfg.activation_cost[[I, R]]  # (2, Z, a_max+1)
+            degree = cfg.benefit - cfg.activation_cost[1:]  # (2, Z, a_max+1) of I and R
             degree[0] -= cfg.illness_cost
             zones = np.arange(p.num_zones)
             move_cost = np.where(zones[:, None] != zones, cfg.migration_cost, 0.0)
             degree_logit = logit_rows(degree, penalty[1:, :, : p.a_max + 1], p.rationality)
         store(self, degrees=action_degrees(p.a_max, p.num_zones).astype(float),
               powers=np.arange(p.a_max + 1), law=idle_law(p), penalty=penalty,
-              class_table=class_table, structured=structured, degree_logit=degree_logit,
-              move_cost=move_cost)
+              structured=structured, degree_logit=degree_logit, move_cost=move_cost)
 
     def state_rewards(self, class_rows: np.ndarray) -> DayRows:
         """The :class:`DayRows` of ``class_rows``: marginals and the states' rewards (5, Z).
@@ -290,8 +287,8 @@ class DayPlan:
         A simulated day builds them once and shares them between its
         observation and :meth:`terms`.
         """
-        marginals = class_marginals(class_rows, self.degrees)
-        return DayRows(class_rows, *marginals, class_expected_rewards(class_rows, self.class_table))
+        rewards = class_expected_rewards(class_rows, self.rewards.table)
+        return DayRows(class_rows, *class_marginals(class_rows, self.degrees), rewards)
 
     def terms(
         self, rows: DayRows, d: np.ndarray
@@ -325,21 +322,21 @@ class DayPlan:
     def target(self, stay: np.ndarray, values: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Checked logit target rows (3, Z, J) of :meth:`terms`' ``stay`` and ``values``.
 
-        The class Q is :func:`lookahead_q` of the class table; in ``belief``
-        mode its healthy row is blended by the :func:`belief_weights` of the
-        distribution ``d``. A structured plan builds Q and its logit for the
+        The class Q is :func:`lookahead_q` of the config's class table; in
+        ``belief`` mode its healthy row is blended by the
+        :func:`belief_weights` of the distribution ``d``. A structured plan builds Q and its logit for the
         healthy class only. The I and R rows' Q is ``degree[z, a] - move[z, t]
         + alpha * (law @ V)[s, t]``, whose softmax is the product of the
         plan's ``degree_logit`` and a softmax over the target zone t.
         """
-        p = self.params
+        p, table = self.params, self.rewards.table
         weights = belief_weights(d) if self.healthy_q == "belief" else None
         if not self.structured:
-            cq = lookahead_q(stay, values, self.class_table, self.law, p.alpha, weights)
+            cq = lookahead_q(stay, values, table, self.law, p.alpha, weights)
             return policy_rows(logit_rows(cq, self.penalty, p.rationality), p.a_max)
         zones, width = stay.shape
-        rows = np.empty(self.class_table.shape)
-        healthy = lookahead_q(stay, values, self.class_table[:1], self.law, p.alpha, weights,
+        rows = np.empty(table.shape)
+        healthy = lookahead_q(stay, values, table[:1], self.law, p.alpha, weights,
                               out=rows[:1])
         logit_rows(healthy, self.penalty[:1], p.rationality)
         _, _, I, R, _ = STATE_INDEX

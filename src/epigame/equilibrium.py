@@ -21,7 +21,6 @@ from .core import (
     CLASS_OF_STATE,
     NUM_CLASSES,
     NUM_STATES,
-    STATE_OF_CLASS,
     BehaviorClass,
     InfectionState,
     ModelParams,
@@ -97,7 +96,7 @@ def classify_zones(cfg: RewardConfig, p: ModelParams) -> ZoneClassification:
     ``(1 - alpha) / alpha * migration_cost``; with ``alpha = 0`` no zone is
     ever worth leaving.
     """
-    net = cfg.benefit[None, None, :] - cfg.activation_cost  # (5, Z, a_max+1)
+    net = cfg.benefit[None, None, :] - cfg.activation_cost[CLASS_OF_STATE]  # (5, Z, a_max+1)
     values, degrees, best, best_zones, leave, neutral = zip(
         *(_partition(net[s], p.alpha, cfg.migration_cost) for s in range(NUM_STATES))
     )
@@ -120,8 +119,8 @@ def dominant_activation(
     s: InfectionState | int = InfectionState.R,
 ) -> tuple[int, ...]:
     """Degrees maximizing the activation reward for state ``s`` in zone ``z``."""
-    s = checked_index("infection state", s, NUM_STATES)
-    net = cfg.benefit - cfg.activation_cost[s, checked_index("zone", z, cfg.num_zones)]
+    cls = CLASS_OF_STATE[checked_index("infection state", s, NUM_STATES)]
+    net = cfg.benefit - cfg.activation_cost[cls, checked_index("zone", z, cfg.num_zones)]
     return tuple(int(a) for a in np.flatnonzero(tied(net)))
 
 
@@ -148,7 +147,7 @@ def construct_equilibrium(
     degree_mask = feasible_actions(p, infected_forced_home)[:, : p.a_max + 1]
     class_degrees, class_best_zones, class_leave = [], [], []
     for cls in BehaviorClass:
-        net = cfg.benefit[None, :] - cfg.activation_cost[STATE_OF_CLASS[cls]]  # (Z, a_max+1)
+        net = cfg.benefit[None, :] - cfg.activation_cost[cls]  # (Z, a_max+1)
         net = np.where(degree_mask[cls], net, -np.inf)
         _, degrees, _, best_zones, leave, _ = _partition(net, p.alpha, cfg.migration_cost)
         class_degrees.append(degrees)
@@ -208,7 +207,7 @@ def check_equilibrium(
     same_dims("policy", social.policy, "parameters", p)
     d = social.dist.d
     kernel, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
-    q = lookahead_q(stay, values, cfg.table, plan.law, p.alpha)
+    q = lookahead_q(stay, values, cfg.table.take(CLASS_OF_STATE, axis=0), plan.law, p.alpha)
 
     states = social.policy.class_rows.take(CLASS_OF_STATE, axis=0)
     averaged = np.einsum("szj,szj->sz", states, q)

@@ -10,6 +10,7 @@ migration dynamics emerge.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field, fields, replace
 
@@ -392,6 +393,14 @@ def _lockdown_rows(path: str) -> list[BehaviorClass]:
     return [BehaviorClass[key.upper()]]
 
 
+def _sweep_values(path: str, values) -> list:
+    """The sweep ``values`` of ``path`` as a list; a string or a single value is rejected."""
+    if not isinstance(values, str):
+        with contextlib.suppress(TypeError):  # not iterable
+            return list(values)
+    raise ValidationError(f"sweep path {path!r} needs a collection of values; got {values!r}")
+
+
 def sweep(grid, base: ScenarioConfig) -> list[ScenarioConfig]:
     """Cartesian product of field overrides applied to ``base``.
 
@@ -399,7 +408,9 @@ def sweep(grid, base: ScenarioConfig) -> list[ScenarioConfig]:
     model parameters (``params.alpha``), lockdown rows
     (``lockdown.healthy``) or plain scenario fields (``horizon``), each at
     most once; no two paths may write one lockdown row (``lockdown.all``
-    writes all three). An empty grid yields just the base configuration.
+    writes all three). Each ``values`` is a collection such as a list or a
+    range, not a string or a single value. An empty grid yields just the
+    base configuration.
     """
     grid = list(grid)
     if not grid:
@@ -418,7 +429,7 @@ def sweep(grid, base: ScenarioConfig) -> list[ScenarioConfig]:
                     f"the lockdown row {row.name.lower()}"
                 )
             writer[row] = path
-    value_lists = [list(values) for _, values in grid]
+    value_lists = [_sweep_values(path, values) for path, values in grid]
     out = []
     for combo in itertools.product(*value_lists):
         cfg = base

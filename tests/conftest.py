@@ -63,18 +63,18 @@ def random_social(
 def random_reward_config(rng: np.random.Generator, p: ModelParams) -> RewardConfig:
     """Random rewards satisfying all structural constraints.
 
-    Benefits start at zero and rise; activation costs rise with the degree,
-    agree across the healthy states, and order symptomatic above healthy
+    Benefits start at zero and rise; activation costs, one row per
+    behavior class, rise with the degree and order symptomatic above healthy
     above recovered.
     """
     width = p.a_max + 1
     benefit = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 0.5, width - 1))])
     healthy = np.cumsum(rng.uniform(0.0, 0.3, (p.num_zones, width)), axis=1)
     healthy += rng.uniform(0.0, 0.2, (p.num_zones, 1))
-    cost = np.empty((NUM_STATES, p.num_zones, width))
-    cost[0] = cost[1] = cost[4] = healthy
-    cost[2] = healthy * (1.0 + rng.uniform(0.0, 1.0))
-    cost[3] = healthy * rng.uniform(0.0, 1.0)
+    cost = np.empty((NUM_CLASSES, p.num_zones, width))
+    cost[BehaviorClass.HEALTHY] = healthy
+    cost[BehaviorClass.SYMPTOMATIC] = healthy * (1.0 + rng.uniform(0.0, 1.0))
+    cost[BehaviorClass.RECOVERED] = healthy * rng.uniform(0.0, 1.0)
     return RewardConfig(
         benefit=benefit,
         activation_cost=cost,

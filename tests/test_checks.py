@@ -457,10 +457,10 @@ def test_distribution_matches_the_separate_checks():
         (lambda x: Policy(x, 1), "class_rows", np.full((NUM_CLASSES, 1, 2), 0.5)),
         (StateDistribution, "d", np.full((NUM_STATES, 1), 0.2)),
         (lambda x: TransitionKernel(x, 1), "matrix", np.full((NUM_STATES, NUM_STATES), 0.2)),
-        (lambda x: RewardConfig(x, np.zeros((NUM_STATES, 1, 2)), 0.0, 0.0), "benefit",
+        (lambda x: RewardConfig(x, np.zeros((NUM_CLASSES, 1, 2)), 0.0, 0.0), "benefit",
          np.array([0.0, 0.5])),
         (lambda x: RewardConfig(np.array([0.0, 0.5]), x, 0.0, 0.0), "activation_cost",
-         np.full((NUM_STATES, 1, 2), 0.25)),
+         np.full((NUM_CLASSES, 1, 2), 0.25)),
         (lambda x: ActivityMasses(x, [0.0], [0.0]), "total", np.array([0.5])),
         (lambda x: ActivityMasses([1.0], x, [0.0]), "asymptomatic", np.array([0.25])),
         (lambda x: ActivityMasses([1.0], [0.0], x), "symptomatic", np.array([0.25])),
@@ -500,7 +500,7 @@ def test_derived_tables_and_run_columns_are_read_only():
     kept = {
         "RewardConfig.table": cfg.table,
         **{f"DayPlan.{name}": getattr(plan, name)
-           for name in ("degrees", "powers", "law", "penalty", "class_table")},
+           for name in ("degrees", "powers", "law", "penalty")},
         **{f"Trajectory.{name}": getattr(traj, name)
            for name in ("dist", "activation", "flows", "daily_welfare")},
     }

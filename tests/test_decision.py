@@ -45,7 +45,7 @@ from epigame.decision import TIE_TOL, DayPlan, check_healthy_q, healthy_blend
 from conftest import make_params, random_reward_config, random_social
 
 from test_dynamics import seeded_scenario
-from test_rewards import zero_cost_config
+from test_rewards import state_table, zero_cost_config
 
 
 def solved_value(social, cfg, p):
@@ -167,11 +167,12 @@ def test_day_terms_match_the_public_pieces():
             assert np.array_equal(kernel, expected_kernel.matrix)
         assert np.array_equal(values, expected_values)
         q = q_function(social, values, cfg, p)
-        assert np.array_equal(decision.lookahead_q(stay, values, cfg.table, plan.law, p.alpha), q)
+        per_state = decision.lookahead_q(stay, values, state_table(cfg), plan.law, p.alpha)
+        assert np.array_equal(per_state, q)
         # Class Q: exact where it runs the per-state operations, rearranged
-        # (S, A and U share one reward table) for the belief-weighted healthy row.
+        # (S, A and U share one reward row) for the belief-weighted healthy row.
         for mode, weights in (("assume_susceptible", None), ("belief", decision.belief_weights(d))):
-            cq = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha, weights)
+            cq = decision.lookahead_q(stay, values, cfg.table, plan.law, p.alpha, weights)
             blended = healthy_blend(q, d, mode)
             assert np.array_equal(cq[1:], blended[1:])
             if weights is None:
@@ -203,7 +204,7 @@ def test_the_day_cores_values_match_the_dense_solve():
             assert np.max(np.abs(values - dense)) < 1e-9
         else:
             assert np.array_equal(values, dense)
-        q = decision.lookahead_q(stay, values, cfg.table, plan.law, p.alpha)
+        q = decision.lookahead_q(stay, values, state_table(cfg), plan.law, p.alpha)
         assert np.array_equal(q, q_function(social, values, cfg, p))
 
 
@@ -244,7 +245,7 @@ def test_the_factorised_target_rows_match_the_full_logit():
                 for cfg, p, social in ((cfg, p, social), built):
                     d = social.dist.d
                     plan = DayPlan(cfg, p, mode, forced_home)
-                    degree, move = split_class_rewards(plan.class_table, p.a_max + 1)
+                    degree, move = split_class_rewards(cfg.table, p.a_max + 1)
                     penalty = plan.penalty[1:, :, : p.a_max + 1]
                     assert np.array_equal(plan.degree_logit,
                                           decision.logit_rows(degree, penalty, p.rationality))
@@ -252,8 +253,7 @@ def test_the_factorised_target_rows_match_the_full_logit():
                         assert np.array_equal(plan.move_cost, move)
                     _, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
                     weights = decision.belief_weights(d) if mode == "belief" else None
-                    cq = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha,
-                                              weights)
+                    cq = decision.lookahead_q(stay, values, cfg.table, plan.law, p.alpha, weights)
                     scale = max(1.0, p.rationality * float(np.abs(cq[1:]).max()))
                     full = policy_rows(decision.logit_rows(cq, plan.penalty, p.rationality),
                                        p.a_max)
@@ -295,7 +295,7 @@ def test_q_equals_reward_table_when_myopic():
     social = random_social(rng, p)
     _, values = solved_value(social, cfg, p)
     q = q_function(social, values, cfg, p)
-    assert q == pytest.approx(cfg.table, abs=1e-13)
+    assert q == pytest.approx(state_table(cfg), abs=1e-13)
 
 
 def test_q_recomposes_value_under_the_policy():
@@ -453,8 +453,8 @@ def test_class_q_falls_back_to_the_susceptible_row_in_a_zone_empty_of_healthy():
     assert np.allclose(weights.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
     plan = DayPlan(cfg, p)
     stay, values = epidemic.survival(social, p), rng.normal(size=(NUM_STATES, 3))
-    belief = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha, weights)
-    susceptible = decision.lookahead_q(stay, values, plan.class_table, plan.law, p.alpha)
+    belief = decision.lookahead_q(stay, values, cfg.table, plan.law, p.alpha, weights)
+    susceptible = decision.lookahead_q(stay, values, cfg.table, plan.law, p.alpha)
     scale = max(1.0, float(np.abs(susceptible).max()))
     healthy = BehaviorClass.HEALTHY
     assert np.max(np.abs(belief[healthy, 1] - susceptible[healthy, 1])) <= 1e-14 * scale

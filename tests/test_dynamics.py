@@ -40,7 +40,7 @@ from epigame.core import (
     unflatten_action,
 )
 from epigame import Policy, decision, dynamics, epidemic
-from epigame.rewards import class_reward_table, immediate_reward
+from epigame.rewards import immediate_reward
 from epigame.dynamics import WAVE_PROMINENCE, StepRecord
 from conftest import make_params, random_reward_config, random_social
 from test_checks import random_day_inputs
@@ -51,7 +51,7 @@ from test_scenarios import frozen_scenario
 def plain_config(num_zones):
     return RewardConfig(
         benefit=linear_benefit(6),
-        activation_cost=np.zeros((NUM_STATES, num_zones, 7)),
+        activation_cost=np.zeros((NUM_CLASSES, num_zones, 7)),
         migration_cost=2.0,
         illness_cost=10.0,
     )
@@ -82,7 +82,7 @@ def composed_step(healthy_q, compose_target):
     p = make_params(num_zones=2, a_max=3)
     cfg = RewardConfig(
         benefit=linear_benefit(3),
-        activation_cost=np.zeros((NUM_STATES, 2, 4)),
+        activation_cost=np.zeros((NUM_CLASSES, 2, 4)),
         migration_cost=2.0,
         illness_cost=10.0,
     )
@@ -100,13 +100,13 @@ def composed_step(healthy_q, compose_target):
 
 def test_step_composes_the_published_pieces():
     # In belief mode the day core blends the healthy row before adding the
-    # reward table that S, A and U share: lookahead_q of the class table,
+    # reward row that S, A and U share: lookahead_q of the class table,
     # not healthy_blend.
     def target(social, values, q, cfg, p):
         cq = decision.lookahead_q(
             epidemic.survival(social, p),
             values,
-            class_reward_table(cfg.table),
+            cfg.table,
             epidemic.idle_law(p),
             p.alpha,
             decision.belief_weights(social.dist.d),
@@ -410,12 +410,13 @@ def test_a_run_keeps_columns_only_until_its_records_are_read():
     scenario = seeded_scenario(55, "belief", True)
     p = scenario.params
     policy_shape = (NUM_CLASSES, p.num_zones, p.num_actions)
+    fixed = held_array_shapes(scenario).count(policy_shape)  # the class reward table
     result = simulate(scenario)
-    assert policy_shape not in held_array_shapes(result)
+    assert held_array_shapes(result).count(policy_shape) == fixed
     traj = result.trajectory
     assert len(traj.records) == len(traj) == scenario.horizon + 1
     assert traj.final() is traj.records[-1]
-    assert policy_shape in held_array_shapes(result)
+    assert held_array_shapes(result).count(policy_shape) > fixed
 
 
 @pytest.mark.parametrize(

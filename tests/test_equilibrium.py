@@ -21,7 +21,7 @@ from epigame import (
     uniform_no_move_policy,
     value_function,
 )
-from epigame.core import NUM_STATES, BehaviorClass, flatten_action, unflatten_action
+from epigame.core import NUM_CLASSES, NUM_STATES, BehaviorClass, flatten_action, unflatten_action
 from conftest import make_params
 
 
@@ -91,9 +91,9 @@ def test_leave_threshold_is_sharp():
 
 def test_near_ties_merge_into_the_best_zone_set():
     o = np.array([0.0, 1.0])
-    cost = np.zeros((NUM_STATES, 2, 2))
+    cost = np.zeros((NUM_CLASSES, 2, 2))
     cost[:, 1, 1] = 1e-12  # zone 1 is worse by far less than the tie tolerance
-    cost[InfectionState.R] = 0.0
+    cost[BehaviorClass.RECOVERED] = 0.0
     cfg = RewardConfig(o, cost, migration_cost=1.0, illness_cost=0.0)
     cls = classify_zones(cfg, make_params(num_zones=2, a_max=1))
     assert cls.best_zones[InfectionState.S] == (0, 1)
@@ -106,7 +106,7 @@ def test_dominant_activation_degrees():
     assert dominant_activation(cfg, 0, InfectionState.S) == (4,)
     assert dominant_activation(cfg, 1, InfectionState.S) == (2,)
     flat = RewardConfig(
-        np.zeros(3), np.zeros((NUM_STATES, 1, 3)), migration_cost=0.0, illness_cost=0.0
+        np.zeros(3), np.zeros((NUM_CLASSES, 1, 3)), migration_cost=0.0, illness_cost=0.0
     )
     assert dominant_activation(flat, 0) == (0, 1, 2)
     with pytest.raises(ValidationError):
@@ -227,7 +227,7 @@ def test_constructed_symptomatic_rows_follow_the_forced_home_flag():
 def test_construct_spreads_uniformly_over_tied_optima():
     o = np.zeros(3)
     flat = RewardConfig(
-        o, np.zeros((NUM_STATES, 1, 3)), migration_cost=0.5, illness_cost=0.0
+        o, np.zeros((NUM_CLASSES, 1, 3)), migration_cost=0.5, illness_cost=0.0
     )
     p = make_params(num_zones=1, a_max=2)
     split = np.zeros((NUM_STATES, 1))

@@ -15,14 +15,19 @@ from epigame import (
     lockdown_cost,
     uniform_no_move_policy,
 )
-from epigame.core import CLASS_OF_STATE, NUM_STATES, unflatten_action
+from epigame.core import CLASS_OF_STATE, NUM_CLASSES, NUM_STATES, BehaviorClass, unflatten_action
 from conftest import make_params, random_reward_config, random_social
+
+
+def state_table(cfg):
+    """The per-state reward table (5, Z, J): each state's class row."""
+    return cfg.table.take(CLASS_OF_STATE, axis=0)
 
 
 def zero_cost_config(num_zones=1, a_max=6):
     return RewardConfig(
         benefit=linear_benefit(a_max),
-        activation_cost=np.zeros((NUM_STATES, num_zones, a_max + 1)),
+        activation_cost=np.zeros((NUM_CLASSES, num_zones, a_max + 1)),
         migration_cost=2.0,
         illness_cost=10.0,
     )
@@ -55,16 +60,14 @@ def test_linear_benefit_rejects_degenerate_degree():
 
 def test_lockdown_fine_frozen_values():
     cost = lockdown_cost(np.array([[2], [0], [6]]), linear_benefit(6), multiplier=3.0)
-    assert cost.shape == (NUM_STATES, 1, 7)
-    healthy = cost[InfectionState.S, 0]
+    assert cost.shape == (3, 1, 7)  # one row per behavior class
+    healthy = cost[BehaviorClass.HEALTHY, 0]
     assert healthy.tolist() == [0.0, 0.0, 0.0, 1.5, 2.0, 2.5, 3.0]
-    assert np.array_equal(cost[InfectionState.A], cost[InfectionState.S])
-    assert np.array_equal(cost[InfectionState.U], cost[InfectionState.S])
-    sympt = cost[InfectionState.I, 0]
+    sympt = cost[BehaviorClass.SYMPTOMATIC, 0]
     assert sympt[0] == 0.0
     assert sympt[1] == pytest.approx(0.5)
     assert sympt[6] == pytest.approx(3.0)
-    assert cost[InfectionState.R, 0].tolist() == [0.0] * 7
+    assert cost[BehaviorClass.RECOVERED, 0].tolist() == [0.0] * 7
 
 
 def test_lockdown_exempt_when_allowed_max_degree():
@@ -75,11 +78,11 @@ def test_lockdown_exempt_when_allowed_max_degree():
 def test_lockdown_overshoot_never_pays():
     o = linear_benefit(6)
     cost = lockdown_cost(np.array([[4, 2], [4, 2], [6, 6]]), o, multiplier=3.0)
-    net = o[None, None, :] - cost  # (5, Z, 7)
-    allowed = np.array([[4, 2], [4, 2], [4, 2], [6, 6], [4, 2]])
-    for s in range(NUM_STATES):
+    net = o[None, None, :] - cost  # (3, Z, 7)
+    allowed = np.array([[4, 2], [4, 2], [6, 6]])
+    for cls in range(NUM_CLASSES):
         for z in range(2):
-            assert net[s, z].argmax() <= allowed[s, z]
+            assert net[cls, z].argmax() <= allowed[cls, z]
 
 
 def test_lockdown_rejects_inverted_class_order():
@@ -108,6 +111,17 @@ def test_lockdown_rejects_bad_degrees_and_multiplier():
         lockdown_cost([["2"], ["0"], ["6"]], o)
     with pytest.raises(ValidationError, match="benefit entries must be numbers; got str"):
         lockdown_cost(np.array([[2], [0], [2]]), ["0", "0.5", "1"])
+    # The benefit passes the RewardConfig benefit rule, whatever its shape.
+    ld = np.array([[1], [0], [1]])
+    for benefit in ([[0.0, 1.0]], 1.0, []):
+        with pytest.raises(ValidationError, match="benefit must be a nonempty vector"):
+            lockdown_cost(ld, benefit)
+    with pytest.raises(ValidationError, match="benefit at degree 0 must be 0"):
+        lockdown_cost(ld, [0.5, 1.0])
+    with pytest.raises(ValidationError, match="benefit must be nondecreasing"):
+        lockdown_cost(ld, [0.0, 1.0, 0.5])
+    with pytest.raises(ValidationError, match="benefit entries must be finite and nonnegative"):
+        lockdown_cost(ld, [0.0, float("nan")])
 
 
 @pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), -float("inf"), True, "x"])
@@ -120,7 +134,7 @@ def test_lockdown_rejects_non_real_multiplier(multiplier):
 
 
 def test_reward_config_rejects_bad_benefit():
-    cost = np.zeros((NUM_STATES, 1, 3))
+    cost = np.zeros((NUM_CLASSES, 1, 3))
     with pytest.raises(ValidationError):
         RewardConfig(np.array([0.1, 0.5, 1.0]), cost, 0.0, 0.0)
     with pytest.raises(ValidationError):
@@ -135,43 +149,42 @@ def test_reward_config_rejects_bad_benefit():
 
 def test_reward_config_rejects_bad_costs():
     o = np.array([0.0, 0.5, 1.0])
-    decreasing = np.zeros((NUM_STATES, 1, 3))
+    decreasing = np.zeros((NUM_CLASSES, 1, 3))
     decreasing[:, 0] = [0.5, 0.4, 0.6]
     with pytest.raises(ValidationError):
         RewardConfig(o, decreasing, 0.0, 0.0)
 
-    unequal = np.zeros((NUM_STATES, 1, 3))
-    unequal[InfectionState.A, 0] = [0.0, 0.1, 0.2]
-    with pytest.raises(ValidationError):
-        RewardConfig(o, unequal, 0.0, 0.0)
+    # One row per behavior class: a per-state table is rejected by its shape.
+    with pytest.raises(ValidationError, match=r"shape \(3, Z, 3\); got \(5, 1, 3\)"):
+        RewardConfig(o, np.zeros((NUM_STATES, 1, 3)), 0.0, 0.0)
 
-    cheap_illness = np.zeros((NUM_STATES, 1, 3))
-    cheap_illness[[0, 1, 4], 0] = [0.0, 0.2, 0.4]
-    cheap_illness[InfectionState.I, 0] = [0.0, 0.1, 0.2]
+    cheap_illness = np.zeros((NUM_CLASSES, 1, 3))
+    cheap_illness[BehaviorClass.HEALTHY, 0] = [0.0, 0.2, 0.4]
+    cheap_illness[BehaviorClass.SYMPTOMATIC, 0] = [0.0, 0.1, 0.2]
     with pytest.raises(ValidationError):
         RewardConfig(o, cheap_illness, 0.0, 0.0)
 
     with pytest.raises(ValidationError, match="activation_cost entries must be numbers; got bool"):
-        RewardConfig(o, np.zeros((NUM_STATES, 1, 3), dtype=bool), 0.0, 0.0)
+        RewardConfig(o, np.zeros((NUM_CLASSES, 1, 3), dtype=bool), 0.0, 0.0)
     with pytest.raises(ValidationError, match="activation_cost entries must be numbers; got str"):
-        RewardConfig(o, np.full((NUM_STATES, 1, 3), "0"), 0.0, 0.0)
+        RewardConfig(o, np.full((NUM_CLASSES, 1, 3), "0"), 0.0, 0.0)
 
-    costly_recovery = np.zeros((NUM_STATES, 1, 3))
-    costly_recovery[InfectionState.R, 0] = [0.0, 0.1, 0.2]
+    costly_recovery = np.zeros((NUM_CLASSES, 1, 3))
+    costly_recovery[BehaviorClass.RECOVERED, 0] = [0.0, 0.1, 0.2]
     with pytest.raises(ValidationError):
         RewardConfig(o, costly_recovery, 0.0, 0.0)
 
-    negative = np.zeros((NUM_STATES, 1, 3))
+    negative = np.zeros((NUM_CLASSES, 1, 3))
     negative[:, 0, 0] = -0.1
     with pytest.raises(ValidationError):
         RewardConfig(o, negative, 0.0, 0.0)
 
     with pytest.raises(ValidationError):
-        RewardConfig(o, np.zeros((NUM_STATES, 1, 4)), 0.0, 0.0)
+        RewardConfig(o, np.zeros((NUM_CLASSES, 1, 4)), 0.0, 0.0)
     with pytest.raises(ValidationError):
-        RewardConfig(o, np.zeros((NUM_STATES, 1, 3)), -1.0, 0.0)
+        RewardConfig(o, np.zeros((NUM_CLASSES, 1, 3)), -1.0, 0.0)
     with pytest.raises(ValidationError):
-        RewardConfig(o, np.zeros((NUM_STATES, 1, 3)), 0.0, -1.0)
+        RewardConfig(o, np.zeros((NUM_CLASSES, 1, 3)), 0.0, -1.0)
 
 
 @pytest.mark.parametrize("name", ["migration_cost", "illness_cost"])
@@ -179,7 +192,7 @@ def test_reward_config_rejects_bad_costs():
 def test_reward_config_rejects_non_real_scalar_costs(name, value):
     costs = {"migration_cost": 0.0, "illness_cost": 0.0, name: value}
     with pytest.raises(ValidationError, match=name):
-        RewardConfig(linear_benefit(2), np.zeros((NUM_STATES, 1, 3)), **costs)
+        RewardConfig(linear_benefit(2), np.zeros((NUM_CLASSES, 1, 3)), **costs)
 
 
 def test_reward_config_random_instances_accepted():
@@ -224,12 +237,12 @@ def test_reward_table_matches_scalar_rewards():
     p = make_params(num_zones=2, a_max=3)
     cfg = random_reward_config(rng, p)
     table = cfg.table
-    assert table.shape == (NUM_STATES, 2, p.num_actions)
-    for s in range(NUM_STATES):
+    assert table.shape == (NUM_CLASSES, 2, p.num_actions)
+    for s in range(NUM_STATES):  # every state reads its class's row
         for z in range(2):
             for j in range(p.num_actions):
                 a, target = unflatten_action(j, p.a_max, 2)
-                assert table[s, z, j] == pytest.approx(
+                assert table[CLASS_OF_STATE[s], z, j] == pytest.approx(
                     immediate_reward(s, z, a, target, cfg), abs=1e-12
                 )
 
@@ -237,8 +250,9 @@ def test_reward_table_matches_scalar_rewards():
 def test_illness_cost_only_hits_symptomatic_rows():
     cfg = zero_cost_config(num_zones=2)
     table = cfg.table
-    assert np.array_equal(table[InfectionState.I], table[InfectionState.S] - 10.0)
-    assert np.array_equal(table[InfectionState.R], table[InfectionState.S])
+    healthy = table[BehaviorClass.HEALTHY]
+    assert np.array_equal(table[BehaviorClass.SYMPTOMATIC], healthy - 10.0)
+    assert np.array_equal(table[BehaviorClass.RECOVERED], healthy)
 
 
 # --- policy-averaged rewards --------------------------------------------------------
@@ -273,7 +287,10 @@ def test_expected_reward_uniform_stay_home_frozen():
 
 
 def test_class_rewards_have_the_per_state_contractions_bits():
-    """Contracted per class, each state's reward keeps the per-state contraction's bits."""
+    """Contracted per class, each state's reward keeps the per-state contraction's bits.
+
+    The per-state contraction runs on the class table expanded to the states.
+    """
     rng = np.random.default_rng(80)
     for name in ("fig2a", "fig4_migration"):
         cfg = preset(name).reward_config()
@@ -281,13 +298,13 @@ def test_class_rewards_have_the_per_state_contractions_bits():
         assert cfg.table.flags.c_contiguous
         for _ in range(20):
             policy = random_social(rng, p).policy
-            per_state = np.einsum("szj,szj->sz", policy.state_rows(), cfg.table)
+            per_state = np.einsum("szj,szj->sz", policy.state_rows(), state_table(cfg))
             assert np.array_equal(expected_reward(policy, cfg), per_state)
     for _ in range(200):
         p = make_params(num_zones=int(rng.integers(1, 5)), a_max=int(rng.integers(0, 7)))
         cfg = random_reward_config(rng, p)
         policy = random_social(rng, p).policy
-        per_state = np.einsum("szj,szj->sz", policy.state_rows(), cfg.table)
+        per_state = np.einsum("szj,szj->sz", policy.state_rows(), state_table(cfg))
         assert np.array_equal(expected_reward(policy, cfg), per_state)
 
 

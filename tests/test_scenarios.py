@@ -358,6 +358,11 @@ def test_sweep_rejects_unknown_paths_and_invalid_values():
         sweep([("lockdown.all", [9])], base)  # above the degree cap
     with pytest.raises(ValidationError):
         sweep([("lockdown.healthy", [1])], base)  # below the symptomatic row
+    # A single value or a string is not a collection of values; range and lists are.
+    singles = (("horizon", 5), ("healthy_q", "belief"), ("params.alpha", np.array(0.5)))
+    for path, values in singles:
+        with pytest.raises(ValidationError, match=f"sweep path '{path}' needs a collection"):
+            sweep([(path, values)], base)
     with pytest.raises(ValidationError, match="'params.alpha' is given more than once"):
         sweep([("params.alpha", [0.1, 0.2]), ("params.alpha", [0.5])], base)
     # Two paths that write one lockdown row: lockdown.all with a class, or one class twice.
