@@ -29,7 +29,6 @@ from .core import (
     StateDistribution,
     ValidationError,
     checked_index,
-    flatten_action,
     is_real,
     numeric_table,
     same_dims,
@@ -69,47 +68,49 @@ class EquilibriumReport:
 
 
 def _partition(net: np.ndarray, alpha: float, migration_cost: float) -> tuple:
-    """Optima of one state's (Z, a_max+1) activation rewards and the zone partition.
+    """Optima of activation rewards ``net`` (k, Z, a_max+1) and the zone partition of each row.
 
-    Returns the best reward and its tied degrees per zone, the best reward
-    over zones, and the best, leave and neutral zones.
+    Returns the best reward per zone (k, Z), the mask of its :func:`tied`
+    degrees (k, Z, a_max+1), and the masks (k, Z) of the best zones and of
+    the zones worth leaving: those outside the best ones whose shortfall
+    against the best zone exceeds ``(1 - alpha) / alpha * migration_cost``,
+    never with ``alpha = 0``. The remaining zones are neutral.
     """
-    values = net.max(axis=1)
-    degrees = tuple(tuple(int(a) for a in np.flatnonzero(row)) for row in tied(net))
-    best = float(values.max())
-    best_zones = tuple(int(z) for z in np.flatnonzero(tied(values)))
+    values = net.max(axis=2)
+    best_zones = tied(values)
     threshold = math.inf if alpha == 0.0 else (1.0 - alpha) / alpha * migration_cost
-    leave = tuple(
-        int(z)
-        for z in range(values.size)
-        if z not in best_zones and best - values[z] > threshold
-    )
-    neutral = tuple(z for z in range(values.size) if z not in best_zones and z not in leave)
-    return values, degrees, best, best_zones, leave, neutral
+    leave = ~best_zones & (values.max(axis=1, keepdims=True) - values > threshold)
+    return values, tied(net), best_zones, leave
+
+
+def _indices(mask: np.ndarray) -> tuple:
+    """Nested tuples of the True positions along the last axis of ``mask``."""
+    if mask.ndim == 1:
+        return tuple(np.flatnonzero(mask).tolist())
+    return tuple(_indices(m) for m in mask)
 
 
 def classify_zones(cfg: RewardConfig, p: ModelParams) -> ZoneClassification:
     """Activation optima per (state, zone) and the zone partition per state.
 
-    A zone lands in ``leave_zones[s]`` when the best zone's activation
-    reward exceeds the zone's own by strictly more than
-    ``(1 - alpha) / alpha * migration_cost``; with ``alpha = 0`` no zone is
-    ever worth leaving.
+    One :func:`_partition` of the five state rows gives every field, as
+    the masks turned into index tuples. A zone lands in ``leave_zones[s]``
+    when the best zone's activation reward exceeds the zone's own by
+    strictly more than ``(1 - alpha) / alpha * migration_cost``; with
+    ``alpha = 0`` no zone is ever worth leaving.
     """
-    net = cfg.benefit[None, None, :] - cfg.activation_cost[CLASS_OF_STATE]  # (5, Z, a_max+1)
-    values, degrees, best, best_zones, leave, neutral = zip(
-        *(_partition(net[s], p.alpha, cfg.migration_cost) for s in range(NUM_STATES))
-    )
-    act_value, best_value = np.array(values), np.array(best)
-    act_value.setflags(write=False)
+    net = cfg.benefit - cfg.activation_cost.take(CLASS_OF_STATE, axis=0)  # (5, Z, a_max+1)
+    values, degrees, best_zones, leave = _partition(net, p.alpha, cfg.migration_cost)
+    best_value = values.max(axis=1)
+    values.setflags(write=False)
     best_value.setflags(write=False)
     return ZoneClassification(
-        activation_value=act_value,
-        best_degrees=degrees,
+        activation_value=values,
+        best_degrees=_indices(degrees),
         best_value=best_value,
-        best_zones=best_zones,
-        leave_zones=leave,
-        neutral_zones=neutral,
+        best_zones=_indices(best_zones),
+        leave_zones=_indices(leave),
+        neutral_zones=_indices(~(best_zones | leave)),
     )
 
 
@@ -135,24 +136,20 @@ def construct_equilibrium(
 
     ``mass_split`` is a (5, Z) table of population mass. It may only load
     states S and R, and only in zones those states do not prefer to leave;
-    anything else is rejected with the violated condition named. The
-    returned policy activates uniformly over the tied dominant degrees,
-    stays put outside leave zones, and migrates uniformly to the best
-    zones from inside them.
+    anything else is rejected with the violated condition named, in the
+    lowest offending zone (A, I and U mass first). One :func:`_partition`
+    of the three class rows, over their feasible degrees, gives the
+    policy as masks: each row activates uniformly over its tied dominant
+    degrees, stays put outside leave zones, and migrates uniformly to the
+    best zones from inside them.
     """
     same_dims("reward config", cfg, "parameters", p)
 
     # Per-class activation optima over the feasible degrees (those of the
     # actions targeting zone 0); the symptomatic class may be confined.
-    degree_mask = feasible_actions(p, infected_forced_home)[:, : p.a_max + 1]
-    class_degrees, class_best_zones, class_leave = [], [], []
-    for cls in BehaviorClass:
-        net = cfg.benefit[None, :] - cfg.activation_cost[cls]  # (Z, a_max+1)
-        net = np.where(degree_mask[cls], net, -np.inf)
-        _, degrees, _, best_zones, leave, _ = _partition(net, p.alpha, cfg.migration_cost)
-        class_degrees.append(degrees)
-        class_best_zones.append(best_zones)
-        class_leave.append(leave)
+    degree_mask = feasible_actions(p, infected_forced_home)[:, None, : p.a_max + 1]
+    net = np.where(degree_mask, cfg.benefit - cfg.activation_cost, -np.inf)  # (3, Z, a_max+1)
+    _, degrees, best_zones, leave = _partition(net, p.alpha, cfg.migration_cost)
 
     split = numeric_table("mass split", mass_split, (NUM_STATES, p.num_zones))
     for s in (InfectionState.A, InfectionState.I, InfectionState.U):
@@ -163,23 +160,21 @@ def construct_equilibrium(
                 f"condition d[{s.name}, z] = 0 violated in zone {z}"
             )
     for s, cls in ((InfectionState.S, BehaviorClass.HEALTHY), (InfectionState.R, BehaviorClass.RECOVERED)):
-        for z in class_leave[cls]:
-            if split[s, z] != 0.0:
-                raise ValidationError(
-                    f"condition 'd[{s.name}, z] = 0 for zones worth leaving' violated: "
-                    f"zone {z} has mass {split[s, z]} but its activation shortfall "
-                    f"exceeds the discounted migration cost"
-                )
+        offending = np.flatnonzero(leave[cls] & (split[s] != 0.0))
+        if offending.size:
+            z = int(offending[0])
+            raise ValidationError(
+                f"condition 'd[{s.name}, z] = 0 for zones worth leaving' violated: "
+                f"zone {z} has mass {split[s, z]} but its activation shortfall "
+                f"exceeds the discounted migration cost"
+            )
 
-    rows = np.zeros((NUM_CLASSES, p.num_zones, p.num_actions))
-    for cls in BehaviorClass:
-        for z in range(p.num_zones):
-            degrees = class_degrees[cls][z]
-            targets = class_best_zones[cls] if z in class_leave[cls] else (z,)
-            share = 1.0 / (len(degrees) * len(targets))
-            for a in degrees:
-                for t in targets:
-                    rows[cls, z, flatten_action(a, t, p.a_max, p.num_zones)] = share
+    # Row (cls, z) spreads one share over its tied degrees times its targets:
+    # the best zones from a leave zone, z itself from any other.
+    targets = np.where(leave[:, :, None], best_zones[:, None, :], np.eye(p.num_zones, dtype=bool))
+    share = 1.0 / (degrees.sum(axis=2) * targets.sum(axis=2))  # (3, Z)
+    rows = (targets[:, :, :, None] & degrees[:, :, None, :]) * share[:, :, None, None]
+    rows = rows.reshape(NUM_CLASSES, p.num_zones, p.num_actions)  # flat action (a_max+1)*t + a
     return SocialState(Policy(rows, p.a_max), StateDistribution(split))
 
 
@@ -209,11 +204,12 @@ def check_equilibrium(
     kernel, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), d)
     q = lookahead_q(stay, values, cfg.table.take(CLASS_OF_STATE, axis=0), plan.law, p.alpha)
 
-    states = social.policy.class_rows.take(CLASS_OF_STATE, axis=0)
-    averaged = np.einsum("szj,szj->sz", states, q)
-    allowed = (plan.penalty == 0.0)[CLASS_OF_STATE] | (states > 0.0)  # (5, 1, J) | (5, Z, J)
-    best = np.where(allowed, q, -np.inf).max(axis=2)
-    gaps = best - averaged
+    rows = social.policy.class_rows
+    averaged = np.einsum("szj,szj->sz", rows.take(CLASS_OF_STATE, axis=0), q)
+    # Deviations may reach the feasible actions and any action the policy plays.
+    blocked = ((plan.penalty != 0.0) & (rows == 0.0)).take(CLASS_OF_STATE, axis=0)
+    q[blocked] = -np.inf
+    gaps = q.max(axis=2) - averaged
 
     occupied = d > 0.0
     se1 = float(gaps[occupied].max()) if occupied.any() else 0.0

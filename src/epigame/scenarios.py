@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -394,8 +395,8 @@ def _lockdown_rows(path: str) -> list[BehaviorClass]:
 
 
 def _sweep_values(path: str, values) -> list:
-    """The sweep ``values`` of ``path`` as a list; a string or a single value is rejected."""
-    if not isinstance(values, str):
+    """The sweep ``values`` of ``path`` as a list; a string, mapping or single value is rejected."""
+    if not isinstance(values, (str, Mapping)):
         with contextlib.suppress(TypeError):  # not iterable
             return list(values)
     raise ValidationError(f"sweep path {path!r} needs a collection of values; got {values!r}")
@@ -409,7 +410,7 @@ def sweep(grid, base: ScenarioConfig) -> list[ScenarioConfig]:
     (``lockdown.healthy``) or plain scenario fields (``horizon``), each at
     most once; no two paths may write one lockdown row (``lockdown.all``
     writes all three). Each ``values`` is a collection such as a list or a
-    range, not a string or a single value. An empty grid yields just the
+    range, not a string, a mapping or a single value. An empty grid yields just the
     base configuration.
     """
     grid = list(grid)

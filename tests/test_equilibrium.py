@@ -1,5 +1,7 @@
 """Zone classification, equilibrium construction and the two-gap checker."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,17 @@ from epigame import (
     uniform_no_move_policy,
     value_function,
 )
-from epigame.core import NUM_CLASSES, NUM_STATES, BehaviorClass, flatten_action, unflatten_action
-from conftest import make_params
+from epigame.core import (
+    CLASS_OF_STATE,
+    NUM_CLASSES,
+    NUM_STATES,
+    BehaviorClass,
+    Policy,
+    flatten_action,
+    unflatten_action,
+)
+from epigame.decision import BLOCK_SOLVE_MIN_ZONES, DayPlan, feasible_actions, lookahead_q, tied
+from conftest import make_params, random_reward_config, random_social
 
 
 def two_zone_config():
@@ -94,10 +105,12 @@ def test_near_ties_merge_into_the_best_zone_set():
     cost = np.zeros((NUM_CLASSES, 2, 2))
     cost[:, 1, 1] = 1e-12  # zone 1 is worse by far less than the tie tolerance
     cost[BehaviorClass.RECOVERED] = 0.0
-    cfg = RewardConfig(o, cost, migration_cost=1.0, illness_cost=0.0)
-    cls = classify_zones(cfg, make_params(num_zones=2, a_max=1))
-    assert cls.best_zones[InfectionState.S] == (0, 1)
-    assert cls.leave_zones[InfectionState.S] == ()
+    # Free migration makes any shortfall worth leaving, but not a tied zone's.
+    for migration_cost in (1.0, 0.0):
+        cfg = RewardConfig(o, cost, migration_cost=migration_cost, illness_cost=0.0)
+        cls = classify_zones(cfg, make_params(num_zones=2, a_max=1))
+        assert cls.best_zones[InfectionState.S] == (0, 1)
+        assert cls.leave_zones[InfectionState.S] == ()
 
 
 def test_dominant_activation_degrees():
@@ -238,6 +251,29 @@ def test_construct_spreads_uniformly_over_tied_optima():
     assert check_equilibrium(social, flat, p).verdict
 
 
+def test_constructed_equilibria_pass_both_checks_at_many_zones():
+    # From BLOCK_SOLVE_MIN_ZONES zones up the checker's plan is structured:
+    # it solves the values and propagates the mass on the kernel's blocks.
+    rng = np.random.default_rng(2041)
+    for num_zones in (20, 40):
+        assert num_zones >= BLOCK_SOLVE_MIN_ZONES
+        p = make_params(num_zones=num_zones, a_max=6, alpha=0.8)
+        cfg = random_reward_config(rng, p)
+        leave = classify_zones(cfg, p).leave_zones
+        assert 0 < len(leave[InfectionState.S]) < num_zones - 1  # some migrate, some stay
+        split = np.zeros((NUM_STATES, num_zones))
+        for s in (InfectionState.S, InfectionState.R):
+            split[s] = rng.uniform(0.1, 1.0, num_zones)
+            split[s, list(leave[s])] = 0.0
+        split /= split.sum()
+        for confined in (True, False):
+            social = construct_equilibrium(cfg, p, split, infected_forced_home=confined)
+            report = check_equilibrium(social, cfg, p, infected_forced_home=confined)
+            assert report.verdict, (num_zones, confined)
+            assert report.se1_gap <= 1e-8
+            assert report.se2_gap <= 1e-8
+
+
 # --- three-zone pricing ----------------------------------------------------------
 
 
@@ -310,3 +346,183 @@ def test_uniform_policy_is_far_from_equilibrium():
     assert report.tol == 1e-8
     assert report.occupied[InfectionState.S, 0]
     assert not report.occupied[InfectionState.R, 0]
+
+
+# --- the loop construction as the oracle of the mask construction --------------------
+
+
+def oracle_partition(net, alpha, migration_cost):
+    """Zone by zone: optima of one row's (Z, a_max+1) activation rewards and its partition."""
+    values = net.max(axis=1)
+    degrees = tuple(tuple(int(a) for a in np.flatnonzero(row)) for row in tied(net))
+    best = float(values.max())
+    best_zones = tuple(int(z) for z in np.flatnonzero(tied(values)))
+    threshold = math.inf if alpha == 0.0 else (1.0 - alpha) / alpha * migration_cost
+    leave = tuple(
+        int(z)
+        for z in range(values.size)
+        if z not in best_zones and best - values[z] > threshold
+    )
+    neutral = tuple(z for z in range(values.size) if z not in best_zones and z not in leave)
+    return values, degrees, best, best_zones, leave, neutral
+
+
+def oracle_classification(cfg, p):
+    """The fields of ``classify_zones``, one state row at a time."""
+    net = cfg.benefit[None, None, :] - cfg.activation_cost[CLASS_OF_STATE]
+    values, degrees, best, best_zones, leave, neutral = zip(
+        *(oracle_partition(net[s], p.alpha, cfg.migration_cost) for s in range(NUM_STATES))
+    )
+    return np.array(values), degrees, np.array(best), best_zones, leave, neutral
+
+
+def oracle_construction(cfg, p, split, infected_forced_home):
+    """``construct_equilibrium`` by a loop over classes, zones and policy entries."""
+    degree_mask = feasible_actions(p, infected_forced_home)[:, : p.a_max + 1]
+    class_degrees, class_best_zones, class_leave = [], [], []
+    for cls in BehaviorClass:
+        net = np.where(degree_mask[cls], cfg.benefit[None, :] - cfg.activation_cost[cls], -np.inf)
+        _, degrees, _, best_zones, leave, _ = oracle_partition(net, p.alpha, cfg.migration_cost)
+        class_degrees.append(degrees)
+        class_best_zones.append(best_zones)
+        class_leave.append(leave)
+    for s in (InfectionState.A, InfectionState.I, InfectionState.U):
+        if np.any(split[s] != 0.0):
+            z = int(np.flatnonzero(split[s])[0])
+            raise ValidationError(
+                f"stationary equilibria carry no mass on state {s.name}: "
+                f"condition d[{s.name}, z] = 0 violated in zone {z}"
+            )
+    healthy, recovered = BehaviorClass.HEALTHY, BehaviorClass.RECOVERED
+    for s, cls in ((InfectionState.S, healthy), (InfectionState.R, recovered)):
+        for z in class_leave[cls]:
+            if split[s, z] != 0.0:
+                raise ValidationError(
+                    f"condition 'd[{s.name}, z] = 0 for zones worth leaving' violated: "
+                    f"zone {z} has mass {split[s, z]} but its activation shortfall "
+                    f"exceeds the discounted migration cost"
+                )
+    rows = np.zeros((NUM_CLASSES, p.num_zones, p.num_actions))
+    for cls in BehaviorClass:
+        for z in range(p.num_zones):
+            degrees = class_degrees[cls][z]
+            targets = class_best_zones[cls] if z in class_leave[cls] else (z,)
+            share = 1.0 / (len(degrees) * len(targets))
+            for a in degrees:
+                for t in targets:
+                    rows[cls, z, flatten_action(a, t, p.a_max, p.num_zones)] = share
+    return SocialState(Policy(rows, p.a_max), StateDistribution(split))
+
+
+def oracle_gaps(social, cfg, p, infected_forced_home):
+    """The checker's deviation gains (5, Z), blocking infeasible unplayed actions by np.where."""
+    plan = DayPlan(cfg, p, infected_forced_home=infected_forced_home)
+    _, stay, values = plan.terms(plan.state_rewards(social.policy.class_rows), social.dist.d)
+    q = lookahead_q(stay, values, cfg.table.take(CLASS_OF_STATE, axis=0), plan.law, p.alpha)
+    states = social.policy.class_rows.take(CLASS_OF_STATE, axis=0)
+    averaged = np.einsum("szj,szj->sz", states, q)
+    allowed = (plan.penalty == 0.0)[CLASS_OF_STATE] | (states > 0.0)
+    return np.where(allowed, q, -np.inf).max(axis=2) - averaged
+
+
+def integer_grid_config(rng, num_zones, a_max):
+    """Rewards and migration cost on an integer grid, so degrees and zones tie often."""
+    width = a_max + 1
+    benefit = np.concatenate([[0.0], np.cumsum(rng.integers(0, 3, a_max))])
+    healthy = np.cumsum(rng.integers(0, 3, (num_zones, width)), axis=1)
+    cost = np.empty((NUM_CLASSES, num_zones, width))
+    cost[BehaviorClass.HEALTHY] = healthy
+    extra = np.cumsum(rng.integers(0, 2, (num_zones, width)), axis=1)
+    cost[BehaviorClass.SYMPTOMATIC] = healthy + extra
+    cost[BehaviorClass.RECOVERED] = healthy * rng.integers(0, 2, (num_zones, 1))
+    return RewardConfig(
+        benefit,
+        cost,
+        migration_cost=float(rng.integers(0, 4)),
+        illness_cost=float(rng.integers(0, 5)),
+    )
+
+
+def test_mask_construction_matches_the_loop_oracle():
+    rng = np.random.default_rng(2525)
+    checked = constructed = rejected = 0
+    for num_zones in (1, 2, 3, 10, 40):
+        for a_max in (0, 1, 6):
+            for draw in range(16):
+                alpha = (0.0, 0.5, float(rng.uniform(0.05, 0.99)))[draw % 3]
+                cfg = integer_grid_config(rng, num_zones, a_max)
+                p = make_params(
+                    num_zones=num_zones, a_max=a_max, alpha=alpha, migration_cost=cfg.migration_cost
+                )
+                expected = oracle_classification(cfg, p)
+                got = classify_zones(cfg, p)
+                assert got.activation_value.tobytes() == expected[0].tobytes()
+                assert got.best_degrees == expected[1]
+                assert got.best_value.tobytes() == expected[2].tobytes()
+                assert (got.best_zones, got.leave_zones, got.neutral_zones) == expected[3:]
+
+                for confined in (True, False):
+                    split = np.zeros((NUM_STATES, num_zones))
+                    for s in (InfectionState.S, InfectionState.R):
+                        split[s] = rng.integers(0, 3, num_zones)
+                        if rng.random() < 0.8:  # mostly away from the zones worth leaving
+                            split[s, list(expected[4][s])] = 0.0
+                    if rng.random() < 0.1:
+                        split[rng.choice([InfectionState.A, InfectionState.I, InfectionState.U]),
+                              rng.integers(num_zones)] = 1.0
+                    if split.sum() == 0.0:
+                        split[InfectionState.R, 0] = 1.0
+                    split /= split.sum()
+                    try:
+                        expected_state = oracle_construction(cfg, p, split, confined)
+                    except ValidationError as exc:
+                        with pytest.raises(ValidationError) as raised:
+                            construct_equilibrium(cfg, p, split, infected_forced_home=confined)
+                        assert str(raised.value) == str(exc)
+                        rejected += 1
+                        continue
+                    social = construct_equilibrium(cfg, p, split, infected_forced_home=confined)
+                    rows, d = social.policy.class_rows, social.dist.d
+                    assert rows.tobytes() == expected_state.policy.class_rows.tobytes()
+                    assert d.tobytes() == expected_state.dist.d.tobytes()
+                    report = check_equilibrium(social, cfg, p, infected_forced_home=confined)
+                    assert report.gaps.tobytes() == oracle_gaps(social, cfg, p, confined).tobytes()
+                    constructed += 1
+                # The checker's gaps off equilibrium too, on a random confined policy.
+                noisy = random_social(rng, p, forced_home=True)
+                report = check_equilibrium(noisy, cfg, p, infected_forced_home=True)
+                assert report.gaps.tobytes() == oracle_gaps(noisy, cfg, p, True).tobytes()
+                checked += 1
+    assert checked == 240
+    assert constructed > 300 and rejected > 30, (constructed, rejected)
+
+
+def test_construct_names_the_first_offending_zone():
+    # Zone 0 is best for the healthy class; zones 1-3 are worth leaving at
+    # alpha 0.5 and migration cost 0.1 (all four are tied for the recovered).
+    o = np.array([0.0, 1.0])
+    cost = np.zeros((NUM_CLASSES, 4, 2))
+    cost[BehaviorClass.HEALTHY, 1:, 1] = 3.0
+    cost[BehaviorClass.SYMPTOMATIC, 1:, 1] = 3.0
+    cfg = RewardConfig(o, cost, migration_cost=0.1, illness_cost=0.0)
+    p = make_params(num_zones=4, a_max=1, alpha=0.5, migration_cost=0.1)
+    assert classify_zones(cfg, p).leave_zones[InfectionState.S] == (1, 2, 3)
+
+    def message(cells):
+        split = np.zeros((NUM_STATES, 4))
+        for s, z in cells:
+            split[s, z] = 1.0
+        split /= split.sum()
+        with pytest.raises(ValidationError) as raised:
+            construct_equilibrium(cfg, p, split)
+        with pytest.raises(ValidationError) as oracle:
+            oracle_construction(cfg, p, split, True)
+        assert str(raised.value) == str(oracle.value)
+        return str(raised.value)
+
+    S, A, U = InfectionState.S, InfectionState.A, InfectionState.U
+    assert "worth leaving' violated: zone 2 has mass 0.5 " in message([(S, 3), (S, 2)])
+    assert "zone 1 has mass 0.25 " in message([(S, 0), (S, 3), (S, 1), (S, 2)])
+    assert "on state A: condition d[A, z] = 0 violated in zone 1" in message([(A, 3), (A, 1)])
+    # A, I, U mass is named before S mass in leave zones, A before U.
+    assert "violated in zone 2" in message([(S, 1), (U, 3), (A, 2)])

@@ -358,8 +358,9 @@ def test_sweep_rejects_unknown_paths_and_invalid_values():
         sweep([("lockdown.all", [9])], base)  # above the degree cap
     with pytest.raises(ValidationError):
         sweep([("lockdown.healthy", [1])], base)  # below the symptomatic row
-    # A single value or a string is not a collection of values; range and lists are.
-    singles = (("horizon", 5), ("healthy_q", "belief"), ("params.alpha", np.array(0.5)))
+    # A single value, a string or a mapping is not a collection of values; range and lists are.
+    singles = (("horizon", 5), ("healthy_q", "belief"), ("params.alpha", np.array(0.5)),
+               ("horizon", {5: "x", 7: "y"}))
     for path, values in singles:
         with pytest.raises(ValidationError, match=f"sweep path '{path}' needs a collection"):
             sweep([(path, values)], base)
