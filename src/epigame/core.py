@@ -29,6 +29,10 @@ NUM_CLASSES = 3
 # Simplex drift absorbed silently by constructors; anything larger is an error.
 PROB_TOL = 1e-12
 
+# Size budget of one (3, Z, Z*(a_max+1)) policy table, the largest array a day
+# holds: 80 MB of floats, against 210 000 entries at Z=100, a_max=6.
+MAX_TABLE_ENTRIES = 10_000_000
+
 
 class ValidationError(ValueError):
     """A domain object or configuration violates a documented invariant."""
@@ -93,8 +97,6 @@ class ModelParams:
     alpha: float  # discount factor; 0 = myopic
     rationality: float  # logit sharpness; 0 = uniform, large = best response
     inertia: float  # weight of the fresh logit target in the policy update
-    migration_cost: float
-    illness_cost: float  # flat daily discomfort while symptomatic
 
     def __post_init__(self) -> None:
         validate_params(self)
@@ -181,7 +183,8 @@ def validate_params(p: ModelParams) -> ModelParams:
 
     Raises ValidationError naming the offending field otherwise. Integer
     fields must be integers, every other field a finite real number; bools
-    and strings are rejected rather than coerced.
+    and strings are rejected rather than coerced. ``num_zones`` and ``a_max``
+    must keep a policy table within :data:`MAX_TABLE_ENTRIES`.
     """
     for f in fields(ModelParams):
         value = getattr(p, f.name)
@@ -205,8 +208,13 @@ def validate_params(p: ModelParams) -> ModelParams:
     _require(0.0 <= p.alpha < 1.0, f"alpha must lie in [0, 1); got {p.alpha}")
     _require(p.rationality >= 0.0, f"rationality must be >= 0; got {p.rationality}")
     _require(0.0 < p.inertia <= 1.0, f"inertia must lie in (0, 1]; got {p.inertia}")
-    _require(p.migration_cost >= 0.0, f"migration_cost must be >= 0; got {p.migration_cost}")
-    _require(p.illness_cost >= 0.0, f"illness_cost must be >= 0; got {p.illness_cost}")
+    # Python ints: a numpy product could wrap around and admit a huge size.
+    entries = NUM_CLASSES * int(p.num_zones) ** 2 * (int(p.a_max) + 1)
+    _require(
+        entries <= MAX_TABLE_ENTRIES,
+        f"num_zones={p.num_zones} and a_max={p.a_max} ask for policy tables of "
+        f"3 * num_zones**2 * (a_max + 1) = {entries} entries; at most {MAX_TABLE_ENTRIES} fit",
+    )
     return p
 
 

@@ -1,11 +1,11 @@
 """Scenario configuration and the built-in presets.
 
-A scenario bundles the model parameters, the lockdown policy (one allowed
-degree per behavior class and zone, overshooting fined at a multiple of
-the benefit), the initial population, and run controls. Presets cover a
-single-zone epidemic under myopic and farsighted agents, lockdown-level
-sweeps of those, and a two-zone setup with asymmetric lockdowns where
-migration dynamics emerge.
+A scenario bundles the model parameters, the migration and illness costs,
+the lockdown policy (one allowed degree per behavior class and zone,
+overshooting fined at a multiple of the benefit), the initial population,
+and run controls. Presets cover a single-zone epidemic under myopic and
+farsighted agents, lockdown-level sweeps of those, and a two-zone setup
+with asymmetric lockdowns where migration dynamics emerge.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ PRESET_EPSILON = 0.1
 PRESET_HEALTHY_Q = "assume_susceptible"
 PRESET_HORIZON = 2000  # generous cap; runs stop at epidemic extinction
 
+_COST_FIELDS = ("migration_cost", "illness_cost")  # under ``params`` in documents and sweeps
+
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
@@ -56,6 +58,8 @@ class ScenarioConfig:
     params: ModelParams
     lockdown_degrees: np.ndarray  # (3, Z) allowed degree per behavior class
     initial_dist: np.ndarray  # (5, Z)
+    migration_cost: float  # paid on each move to another zone
+    illness_cost: float  # flat daily discomfort while symptomatic
     lockdown_multiplier: float = 3.0
     benefit: np.ndarray | None = None  # None selects the linear benefit
     horizon: int = DEFAULT_HORIZON
@@ -91,8 +95,8 @@ class ScenarioConfig:
         rewards = RewardConfig(
             benefit=o,
             activation_cost=lockdown_cost(ld, o, self.lockdown_multiplier),
-            migration_cost=self.params.migration_cost,
-            illness_cost=self.params.illness_cost,
+            migration_cost=self.migration_cost,
+            illness_cost=self.illness_cost,
         )
         # max|table| / (1 - alpha) bounds |V| and scales the value-residual gate.
         if not np.abs(rewards.table).max() <= (1.0 - self.params.alpha) * np.finfo(float).max:
@@ -130,7 +134,8 @@ class ScenarioConfig:
         """The scenario as JSON-ready data; numpy scalars become Python scalars."""
         return {
             "name": self.name,
-            "params": {f.name: _plain(getattr(self.params, f.name)) for f in fields(ModelParams)},
+            "params": {f.name: _plain(getattr(self.params, f.name)) for f in fields(ModelParams)}
+            | {key: _plain(getattr(self, key)) for key in _COST_FIELDS},
             "lockdown_degrees": {
                 cls.name.lower(): [int(x) for x in self.lockdown_degrees[cls]]
                 for cls in BehaviorClass
@@ -177,13 +182,11 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     for key in ("name", "params", "lockdown_degrees", "initial_dist"):
         if key not in data:
             raise ValidationError(f"scenario document is missing required key {key!r}")
-    param_names = {f.name for f in fields(ModelParams)}
+    param_names = {*(f.name for f in fields(ModelParams)), *_COST_FIELDS}
     raw_params = data["params"]
     if not isinstance(raw_params, dict) or set(raw_params) != param_names:
-        raise ValidationError(
-            f"params must define exactly the fields {sorted(param_names)}"
-        )
-    params = ModelParams(**raw_params)
+        raise ValidationError(f"params must define exactly the fields {sorted(param_names)}")
+    params = ModelParams(**{k: v for k, v in raw_params.items() if k not in _COST_FIELDS})
 
     lockdown = _table_rows(data, "lockdown_degrees", [cls.name.lower() for cls in BehaviorClass])
     init = _table_rows(data, "initial_dist", [s.name for s in InfectionState])
@@ -195,6 +198,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         params=params,
         lockdown_degrees=lockdown,
         initial_dist=init,
+        **{key: raw_params[key] for key in _COST_FIELDS},
         benefit=None if benefit == "linear" else benefit,
         **kwargs,
     )
@@ -237,8 +241,20 @@ def _base_params(
         alpha=alpha,
         rationality=10.0,
         inertia=inertia,
+    )
+
+
+def _preset_config(name: str, params: ModelParams, lockdown, init) -> ScenarioConfig:
+    """A preset scenario, with the reward costs and run controls all presets share."""
+    return ScenarioConfig(
+        name=name,
+        params=params,
+        lockdown_degrees=lockdown,
+        initial_dist=init,
         migration_cost=2.0,
         illness_cost=10.0,
+        horizon=PRESET_HORIZON,
+        healthy_q=PRESET_HEALTHY_Q,
     )
 
 
@@ -261,14 +277,7 @@ def _single_zone(
     params = _base_params(num_zones=1, alpha=alpha, delta_U_R=delta_U_R, inertia=0.2)
     recovered_lock = params.a_max if exempt_recovered else a_lock
     lockdown = np.array([[a_lock], [a_lock], [recovered_lock]])
-    return ScenarioConfig(
-        name=name,
-        params=params,
-        lockdown_degrees=lockdown,
-        initial_dist=_single_zone_dist(),
-        horizon=PRESET_HORIZON,
-        healthy_q=PRESET_HEALTHY_Q,
-    )
+    return _preset_config(name, params, lockdown, _single_zone_dist())
 
 
 def _fig2a() -> ScenarioConfig:
@@ -290,14 +299,7 @@ def _fig4_migration() -> ScenarioConfig:
     init[InfectionState.S] = (0.873, 0.1)
     init[InfectionState.A] = (0.018, 0.0)
     init[InfectionState.I] = (0.009, 0.0)
-    return ScenarioConfig(
-        name="fig4_migration",
-        params=params,
-        lockdown_degrees=lockdown,
-        initial_dist=init,
-        horizon=PRESET_HORIZON,
-        healthy_q=PRESET_HEALTHY_Q,
-    )
+    return _preset_config("fig4_migration", params, lockdown, init)
 
 
 #: The four lockdown-sweep families: (name, alpha, recovered exempt, delta_U_R).
@@ -366,6 +368,8 @@ def preset_description(name: str) -> str:
 def _override(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
     if path.startswith("params."):
         name = path[len("params.") :]
+        if name in _COST_FIELDS:
+            return replace(cfg, **{name: value})
         if name not in {f.name for f in fields(ModelParams)}:
             raise ValidationError(f"unknown model parameter in sweep path {path!r}")
         return replace(cfg, params=replace(cfg.params, **{name: value}))

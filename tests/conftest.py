@@ -29,8 +29,6 @@ def make_params(**overrides) -> ModelParams:
         alpha=0.9,
         rationality=10.0,
         inertia=0.2,
-        migration_cost=2.0,
-        illness_cost=10.0,
     )
     fields.update(overrides)
     return ModelParams(**fields)

@@ -272,6 +272,9 @@ def run_document(tmp_path, doc):
         (None, "horizon", "5", "horizon"),
         (None, "infected_forced_home", "no", "infected_forced_home"),
         (None, "initial_dist", {s: [0.0] for s in "SAIRU"} | {"S": [1.0]}, "initial_dist"),
+        ("params", "migration_cost", -0.5, "migration_cost"),
+        ("params", "illness_cost", None, "illness_cost"),
+        ("params", "illness_cost", "10", "illness_cost"),
     ],
 )
 def test_simulate_rejects_malformed_values(tmp_path, capsys, section, key, value, field):
@@ -279,6 +282,22 @@ def test_simulate_rejects_malformed_values(tmp_path, capsys, section, key, value
     (doc[section] if section else doc)[key] = value
     assert run_document(tmp_path, doc) == 1
     assert field in capsys.readouterr().err
+
+
+def test_simulate_rejects_sizes_too_large_to_hold(tmp_path, capsys):
+    # Both fail the size check before any table is allocated.
+    doc = preset("fig2a").to_dict()
+    doc["params"]["a_max"] = 10**12
+    assert run_document(tmp_path, doc) == 1
+    assert "num_zones=1 and a_max=1000000000000" in capsys.readouterr().err
+    zones = 10**5
+    doc = preset("fig2a").to_dict()
+    doc["params"]["num_zones"] = zones
+    for table in ("lockdown_degrees", "initial_dist"):
+        doc[table] = {key: row * zones for key, row in doc[table].items()}
+    assert run_document(tmp_path, doc) == 1
+    err = capsys.readouterr().err
+    assert "num_zones=100000 and a_max=6" in err and "210000000000 entries" in err
 
 
 def test_simulate_rejects_an_infinite_value_bound(tmp_path, capsys):

@@ -18,6 +18,7 @@ from epigame import (
 from epigame.core import (
     CLASS_OF_STATE,
     HEALTHY_STATES,
+    MAX_TABLE_ENTRIES,
     NUM_STATES,
     STATE_OF_CLASS,
     BehaviorClass,
@@ -62,11 +63,11 @@ def test_valid_params_pass_through():
         {"num_zones": 2.0},
         {"a_max": -1},
         {"a_max": 3.5},
-        {"migration_cost": -0.5},
-        {"illness_cost": -2.0},
+        {"a_max": 10**12},
+        {"num_zones": 10**5},
         {"alpha": "0.9"},
         {"beta_A": True},
-        {"illness_cost": None},
+        {"num_zones": np.int64(2**32)},  # 3 * Z**2 * 7 wraps to 0 in int64
         {"rationality": float("inf")},
         {"epsilon": float("nan")},
         {"inertia": [0.2]},
@@ -77,6 +78,19 @@ def test_valid_params_pass_through():
 def test_invalid_params_rejected(overrides):
     with pytest.raises(ValidationError):
         validate_params(make_params(**overrides))
+
+
+def test_size_budget_names_both_fields_and_the_size():
+    # The first entry count past the budget at one zone, then a count that
+    # wraps to 0 in int64 arithmetic: neither may pass, and neither allocates.
+    widest = MAX_TABLE_ENTRIES // 3 - 1
+    assert make_params(num_zones=1, a_max=widest).a_max == widest
+    for zones, a_max in ((1, widest + 1), (np.int64(2**32), 6)):
+        entries = 3 * int(zones) ** 2 * (a_max + 1)
+        with pytest.raises(ValidationError) as err:
+            make_params(num_zones=zones, a_max=a_max)
+        assert f"num_zones={zones} and a_max={a_max}" in str(err.value)
+        assert f"= {entries} entries; at most {MAX_TABLE_ENTRIES}" in str(err.value)
 
 
 def test_params_validate_on_construction_and_replace():

@@ -26,6 +26,7 @@ from epigame import (
     simulate,
     state_transition,
     step,
+    sweep,
     transition_matrix,
     uniform_no_move_policy,
     value_function,
@@ -94,8 +95,8 @@ def test_value_matches_fixed_point_iteration():
 def test_value_gate_scales_with_the_rewards(overrides, horizon):
     # An absolute 1e-10 gate rejected both runs on their first day
     # (residuals 2.7e-10 and 2.1e-9).
-    cfg = preset("fig4_migration")
-    cfg = replace(cfg, params=replace(cfg.params, **overrides), horizon=horizon)
+    grid = [(f"params.{name}", [value]) for name, value in overrides.items()]
+    (cfg,) = sweep(grid, replace(preset("fig4_migration"), horizon=horizon))
     assert len(simulate(cfg).trajectory) > 1
 
 

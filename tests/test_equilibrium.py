@@ -44,7 +44,7 @@ def two_zone_config():
 
 
 def two_zone_params(**overrides):
-    fields = dict(num_zones=2, a_max=6, alpha=0.9, migration_cost=2.0, delta_U_R=0.01)
+    fields = dict(num_zones=2, a_max=6, alpha=0.9, delta_U_R=0.01)
     fields.update(overrides)
     return make_params(**fields)
 
@@ -57,7 +57,7 @@ def three_zone_config():
 
 
 def three_zone_params():
-    return make_params(num_zones=3, a_max=2, alpha=0.5, migration_cost=0.6)
+    return make_params(num_zones=3, a_max=2, alpha=0.5)
 
 
 # --- zone classification ------------------------------------------------------
@@ -87,7 +87,7 @@ def test_myopic_agents_never_leave():
 def test_leave_threshold_is_sharp():
     # Shortfall equals best - own activation value; the migration threshold
     # at alpha = 0.5 and cost 1 is exactly 1.
-    p = make_params(num_zones=2, a_max=1, alpha=0.5, migration_cost=1.0)
+    p = make_params(num_zones=2, a_max=1, alpha=0.5)
 
     def shortfall_case(top_benefit):
         o = np.array([0.0, top_benefit])
@@ -451,9 +451,7 @@ def test_mask_construction_matches_the_loop_oracle():
             for draw in range(16):
                 alpha = (0.0, 0.5, float(rng.uniform(0.05, 0.99)))[draw % 3]
                 cfg = integer_grid_config(rng, num_zones, a_max)
-                p = make_params(
-                    num_zones=num_zones, a_max=a_max, alpha=alpha, migration_cost=cfg.migration_cost
-                )
+                p = make_params(num_zones=num_zones, a_max=a_max, alpha=alpha)
                 expected = oracle_classification(cfg, p)
                 got = classify_zones(cfg, p)
                 assert got.activation_value.tobytes() == expected[0].tobytes()
@@ -505,7 +503,7 @@ def test_construct_names_the_first_offending_zone():
     cost[BehaviorClass.HEALTHY, 1:, 1] = 3.0
     cost[BehaviorClass.SYMPTOMATIC, 1:, 1] = 3.0
     cfg = RewardConfig(o, cost, migration_cost=0.1, illness_cost=0.0)
-    p = make_params(num_zones=4, a_max=1, alpha=0.5, migration_cost=0.1)
+    p = make_params(num_zones=4, a_max=1, alpha=0.5)
     assert classify_zones(cfg, p).leave_zones[InfectionState.S] == (1, 2, 3)
 
     def message(cells):

@@ -188,7 +188,7 @@ def test_reward_config_rejects_bad_costs():
 
 
 @pytest.mark.parametrize("name", ["migration_cost", "illness_cost"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0", True])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0", True, None, -0.5])
 def test_reward_config_rejects_non_real_scalar_costs(name, value):
     costs = {"migration_cost": 0.0, "illness_cost": 0.0, name: value}
     with pytest.raises(ValidationError, match=name):

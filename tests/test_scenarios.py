@@ -1,5 +1,6 @@
 """Preset catalog, scenario documents and grid sweeps."""
 
+import dataclasses
 import json
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from epigame import (
     FIG3_FAMILIES,
     PRESET_NAMES,
     InfectionState,
+    RewardConfig,
     ScenarioConfig,
     ValidationError,
     fig3_points,
@@ -50,7 +52,7 @@ def test_single_zone_presets_share_the_epidemic():
         assert p.epsilon == PRESET_EPSILON
         assert (p.num_zones, p.a_max) == (1, 6)
         assert (p.rationality, p.inertia) == (10.0, 0.2)
-        assert (p.migration_cost, p.illness_cost) == (2.0, 10.0)
+        assert (cfg.migration_cost, cfg.illness_cost) == (2.0, 10.0)
         assert cfg.horizon == PRESET_HORIZON
         assert cfg.healthy_q == PRESET_HEALTHY_Q
         assert cfg.initial_dist[:, 0] == pytest.approx([0.97, 0.02, 0.01, 0.0, 0.0])
@@ -81,7 +83,7 @@ def test_fig4_preset_frozen():
     assert p.alpha == 0.9
     assert p.delta_U_R == 0.01
     assert p.inertia == 0.1
-    assert p.migration_cost == 2.0
+    assert (cfg.migration_cost, cfg.illness_cost) == (2.0, 10.0)
     assert cfg.lockdown_degrees.tolist() == [[4, 2], [4, 2], [6, 6]]
     assert cfg.initial_dist[InfectionState.S].tolist() == [0.873, 0.1]
     assert cfg.initial_dist[InfectionState.A].tolist() == [0.018, 0.0]
@@ -146,6 +148,8 @@ def frozen_scenario(**overrides):
         params=make_params(num_zones=1),
         lockdown_degrees=np.array([[2], [2], [6]]),
         initial_dist=np.array([[0.97], [0.02], [0.01], [0.0], [0.0]]),
+        migration_cost=2.0,
+        illness_cost=10.0,
     )
     fields.update(overrides)
     return ScenarioConfig(**fields)
@@ -164,6 +168,14 @@ def test_scenario_defaults():
 def test_scenario_rejections():
     with pytest.raises(ValidationError):
         frozen_scenario(name="")
+    cfg = frozen_scenario()
+    for name in ("migration_cost", "illness_cost"):
+        with pytest.raises(ValidationError, match=name):
+            replace(cfg, **{name: float("nan")})
+        given = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                 if f.init and f.name != name}
+        with pytest.raises(TypeError, match=name):  # required, with no default
+            ScenarioConfig(**given)
     with pytest.raises(ValidationError):
         frozen_scenario(horizon=0)
     with pytest.raises(ValidationError):
@@ -225,9 +237,24 @@ def test_scenario_document_round_trip():
     for name in ("fig2a", "fig4_migration"):
         cfg = preset(name)
         doc = cfg.to_dict()
-        json.dumps(doc)  # must be serializable as-is
+        kept = json.dumps(doc)  # must be serializable as-is
         clone = scenario_from_dict(doc)
         assert clone.to_dict() == doc
+        assert json.dumps(doc) == kept  # the caller's document is not changed
+
+
+def test_scenario_document_params_layout_is_frozen():
+    # Saved documents and summaries keep these keys in this order; the two
+    # costs belong to the scenario but are written last under ``params``.
+    assert list(preset("fig4_migration").to_dict()["params"]) == [
+        "beta_A", "beta_I", "delta_A_I", "delta_A_U", "delta_I_R", "delta_U_R", "epsilon",
+        "num_zones", "a_max", "alpha", "rationality", "inertia", "migration_cost", "illness_cost",
+    ]
+    # A cost is written as it was given: an integer stays an integer.
+    doc = preset("fig4_migration").to_dict()
+    doc["params"]["migration_cost"] = 2
+    written = json.dumps(scenario_from_dict(doc).to_dict())
+    assert '"inertia": 0.1, "migration_cost": 2, "illness_cost": 10.0}' in written
 
 
 def test_numpy_scalar_inputs_round_trip_through_json():
@@ -289,6 +316,12 @@ def test_scenario_document_rejections():
         scenario_from_dict(bad)
 
     bad = dict(doc)
+    bad["params"] = dict(doc["params"])
+    del bad["params"]["illness_cost"]
+    with pytest.raises(ValidationError, match="exactly the fields.*'illness_cost'"):
+        scenario_from_dict(bad)
+
+    bad = dict(doc)
     bad["lockdown_degrees"] = {"healthy": [2]}
     with pytest.raises(ValidationError, match="lockdown_degrees"):
         scenario_from_dict(bad)
@@ -318,6 +351,22 @@ def test_sweep_over_lockdown_degrees():
     for a_lock, cfg in enumerate(configs):
         assert np.all(cfg.lockdown_degrees == a_lock)
         assert cfg.name == f"fig2b[lockdown.all={a_lock}]"
+
+
+def test_sweep_over_the_reward_costs():
+    base = preset("fig4_migration")
+    rewards = base.reward_config()
+    for name in ("migration_cost", "illness_cost"):
+        configs = sweep([(f"params.{name}", [0.0, 5.0])], base)
+        for value, cfg in zip((0.0, 5.0), configs):
+            assert cfg.name == f"fig4_migration[params.{name}={value}]"
+            assert getattr(cfg, name) == getattr(cfg.reward_config(), name) == value
+            assert cfg.to_dict()["params"][name] == value
+            assert cfg.params == base.params
+            costs = {"migration_cost": 2.0, "illness_cost": 10.0, name: value}
+            expected = RewardConfig(rewards.benefit, rewards.activation_cost, **costs).table
+            assert np.array_equal(cfg.reward_config().table, expected)
+            assert not np.array_equal(cfg.reward_config().table, rewards.table)
 
 
 def test_sweep_empty_grid_returns_the_base():
@@ -354,6 +403,10 @@ def test_sweep_rejects_unknown_paths_and_invalid_values():
         sweep([("lockdown.everyone", [2])], base)
     with pytest.raises(ValidationError, match="unknown sweep field path"):
         sweep([("initial_dist", [None])], base)
+    with pytest.raises(ValidationError, match="unknown sweep field path"):
+        sweep([("migration_cost", [1.0])], base)  # costs are addressed under params
+    with pytest.raises(ValidationError, match="illness_cost"):
+        sweep([("params.illness_cost", [-1.0])], base)
     with pytest.raises(ValidationError):
         sweep([("lockdown.all", [9])], base)  # above the degree cap
     with pytest.raises(ValidationError):
