@@ -197,7 +197,7 @@ def _read_json(path: Path, kind: str):
         return json.loads(path.read_text())
     except OSError as exc:
         raise ValidationError(f"cannot read {kind} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"{kind} {path} is not valid JSON: {exc}") from exc
 
 
@@ -342,7 +342,7 @@ def _sweep_points(args) -> list[tuple[dict, ScenarioConfig]]:
                 raise ValidationError(f"empty value in --grid entry {entry!r}")
             try:
                 parsed.append(json.loads(token))
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 parsed.append(token)  # bare strings, e.g. healthy_q modes
         paths.append(path.strip())
         value_lists.append(parsed)

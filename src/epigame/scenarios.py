@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -183,16 +183,17 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if key not in data:
             raise ValidationError(f"scenario document is missing required key {key!r}")
     param_names = {*(f.name for f in fields(ModelParams)), *_COST_FIELDS}
-    raw_params = data["params"]
-    if not isinstance(raw_params, dict) or set(raw_params) != param_names:
-        raise ValidationError(f"params must define exactly the fields {sorted(param_names)}")
+    raw_params = data["params"] if isinstance(data["params"], dict) else {}
+    if set(raw_params) != param_names:
+        missing, unknown = param_names - set(raw_params), set(raw_params) - param_names
+        raise ValidationError(f"params must define exactly the fields {sorted(param_names)}; "
+                              f"missing {sorted(missing)}, unknown {sorted(unknown, key=str)}")
     params = ModelParams(**{k: v for k, v in raw_params.items() if k not in _COST_FIELDS})
 
     lockdown = _table_rows(data, "lockdown_degrees", [cls.name.lower() for cls in BehaviorClass])
     init = _table_rows(data, "initial_dist", [s.name for s in InfectionState])
     benefit = data.get("benefit", "linear")
 
-    kwargs = {key: data[key] for key in _SCALAR_FIELDS if key in data}
     return ScenarioConfig(
         name=data["name"],
         params=params,
@@ -200,7 +201,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         initial_dist=init,
         **{key: raw_params[key] for key in _COST_FIELDS},
         benefit=None if benefit == "linear" else benefit,
-        **kwargs,
+        **{key: data[key] for key in _SCALAR_FIELDS if key in data},
     )
 
 
@@ -365,37 +366,36 @@ def preset_description(name: str) -> str:
 # --- sweeps ----------------------------------------------------------------
 
 
-def _override(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
+def _write_path(doc: dict, path: str, value) -> None:
     if path.startswith("params."):
         name = path[len("params.") :]
-        if name in _COST_FIELDS:
-            return replace(cfg, **{name: value})
-        if name not in {f.name for f in fields(ModelParams)}:
+        if name not in doc["params"]:
             raise ValidationError(f"unknown model parameter in sweep path {path!r}")
-        return replace(cfg, params=replace(cfg.params, **{name: value}))
-    if path.startswith("lockdown."):
-        ld = np.array(cfg.lockdown_degrees, dtype=object)  # the constructor checks values
-        ld[_lockdown_rows(path)] = value
-        return replace(cfg, lockdown_degrees=ld.tolist())
-    if path in _SCALAR_FIELDS:
-        return replace(cfg, **{path: value})
-    raise ValidationError(f"unknown sweep field path {path!r}")
+        doc["params"][name] = value
+    elif path.startswith("lockdown."):
+        rows = doc["lockdown_degrees"]  # one number fills a row; the constructor checks rows
+        for key in _lockdown_rows(path):
+            rows[key] = value if np.array(value, dtype=object).ndim else [value] * len(rows[key])
+    elif path in _SCALAR_FIELDS:
+        doc[path] = value
+    else:
+        raise ValidationError(f"unknown sweep field path {path!r}")
 
 
-def _lockdown_rows(path: str) -> list[BehaviorClass]:
-    """The lockdown rows that the sweep path ``lockdown.<key>`` writes.
+def _lockdown_rows(path: str) -> list[str]:
+    """The ``lockdown_degrees`` keys of the rows that the sweep path ``lockdown.<key>`` writes.
 
     ``all`` writes every row; a behavior class name, read case-blind, its own.
     """
     key = path[len("lockdown.") :]
     if key == "all":
-        return list(BehaviorClass)
+        return [cls.name.lower() for cls in BehaviorClass]
     if key.upper() not in BehaviorClass.__members__:
         raise ValidationError(
             f"unknown behavior class in sweep path {path!r}; "
             "use healthy, symptomatic, recovered or all"
         )
-    return [BehaviorClass[key.upper()]]
+    return [BehaviorClass[key.upper()].name.lower()]
 
 
 def _sweep_values(path: str, values) -> list:
@@ -410,12 +410,12 @@ def sweep(grid, base: ScenarioConfig) -> list[ScenarioConfig]:
     """Cartesian product of field overrides applied to ``base``.
 
     ``grid`` is a sequence of ``(field_path, values)`` pairs; paths address
-    model parameters (``params.alpha``), lockdown rows
+    model parameters and costs (``params.alpha``), lockdown rows
     (``lockdown.healthy``) or plain scenario fields (``horizon``), each at
-    most once; no two paths may write one lockdown row (``lockdown.all``
-    writes all three). Each ``values`` is a collection such as a list or a
-    range, not a string, a mapping or a single value. An empty grid yields just the
-    base configuration.
+    most once and in any order; no two paths may write one lockdown row
+    (``lockdown.all`` writes all three). Each ``values`` is a collection such
+    as a range or a list, not a string, a mapping or a single value. A point is one
+    edit of ``base.to_dict()``, validated once; an empty grid yields just ``base``.
     """
     grid = list(grid)
     if not grid:
@@ -431,15 +431,15 @@ def sweep(grid, base: ScenarioConfig) -> list[ScenarioConfig]:
             if row in writer:
                 raise ValidationError(
                     f"sweep field paths {writer[row]!r} and {path!r} both set "
-                    f"the lockdown row {row.name.lower()}"
+                    f"the lockdown row {row}"
                 )
             writer[row] = path
     value_lists = [_sweep_values(path, values) for path, values in grid]
     out = []
     for combo in itertools.product(*value_lists):
-        cfg = base
-        for path, value in zip(paths, combo):
-            cfg = _override(cfg, path, value)
         label = ",".join(f"{path}={value}" for path, value in zip(paths, combo))
-        out.append(replace(cfg, name=f"{base.name}[{label}]"))
+        doc = base.to_dict() | {"name": f"{base.name}[{label}]"}
+        for path, value in zip(paths, combo):
+            _write_path(doc, path, value)
+        out.append(scenario_from_dict(doc))
     return out

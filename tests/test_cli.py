@@ -604,6 +604,23 @@ def test_sweep_input_errors(tmp_path, capsys):
                  "--horizon", "6", "--out", str(tmp_path / "both")]) == 1
     assert "--horizon cannot be combined with the grid path 'horizon'" in capsys.readouterr().err
     assert not (tmp_path / "twice").exists() and not (tmp_path / "both").exists()
+    deep = "[" * 5000  # too deep for the JSON parser, so read as a bare string
+    assert main(["sweep", "--config", str(cfg_path), "--grid", f"horizon={deep}",
+                 "--out", str(tmp_path / "deep")]) == 1
+    assert "horizon must be an integer" in capsys.readouterr().err
+
+
+def test_sweep_grid_paths_are_accepted_in_any_order(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, preset("fig2b"))
+    for name, grid in (("forward", ["params.delta_A_I=0.95", "params.delta_A_U=0.01"]),
+                       ("backward", ["params.delta_A_U=0.01", "params.delta_A_I=0.95"])):
+        args = [arg for entry in grid for arg in ("--grid", entry)]
+        assert main(["sweep", "--config", str(cfg_path), *args, "--horizon", "5",
+                     "--jobs", "1", "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    forward, backward = ((tmp_path / name / "sweep.csv").read_text().splitlines()[1]
+                         for name in ("forward", "backward"))
+    assert forward.split(",")[-5:] == backward.split(",")[-5:]
 
 
 # --- equilibrium files ----------------------------------------------------------
@@ -676,6 +693,18 @@ def test_check_rejects_bad_state_files(tmp_path):
     not_state.write_text(json.dumps({"hello": 1}))
     assert main(["check-equilibrium", "--config", str(fig4_path),
                  "--state", str(not_state)]) == 1
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000 + b"]" * 200_000],
+                         ids=["undecodable", "too-deep"])
+def test_unreadable_json_exits_1_naming_the_file(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    cfg_path = write_config(tmp_path, preset("fig2a"))
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
+    assert f"config {bad} is not valid JSON" in capsys.readouterr().err
+    assert main(["check-equilibrium", "--config", str(cfg_path), "--state", str(bad)]) == 1
+    assert f"social state file {bad} is not valid JSON" in capsys.readouterr().err
 
 
 # --- presets and version ------------------------------------------------------------

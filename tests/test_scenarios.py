@@ -320,6 +320,9 @@ def test_scenario_document_rejections():
     del bad["params"]["illness_cost"]
     with pytest.raises(ValidationError, match="exactly the fields.*'illness_cost'"):
         scenario_from_dict(bad)
+    bad["params"]["bogus"] = 1.0
+    with pytest.raises(ValidationError, match=r"missing \['illness_cost'\], unknown \['bogus'\]"):
+        scenario_from_dict(bad)
 
     bad = dict(doc)
     bad["lockdown_degrees"] = {"healthy": [2]}
@@ -411,6 +414,8 @@ def test_sweep_rejects_unknown_paths_and_invalid_values():
         sweep([("lockdown.all", [9])], base)  # above the degree cap
     with pytest.raises(ValidationError):
         sweep([("lockdown.healthy", [1])], base)  # below the symptomatic row
+    with pytest.raises(ValidationError, match="lockdown_degrees"):  # three zones' row for two
+        sweep([("lockdown.healthy", [[4, 5, 6]])], preset("fig4_migration"))
     # A single value, a string or a mapping is not a collection of values; range and lists are.
     singles = (("horizon", 5), ("healthy_q", "belief"), ("params.alpha", np.array(0.5)),
                ("horizon", {5: "x", 7: "y"}))
@@ -426,3 +431,33 @@ def test_sweep_rejects_unknown_paths_and_invalid_values():
                           ("lockdown.recovered", "lockdown.RECOVERED")):
         with pytest.raises(ValidationError, match=f"'{first}' and '{second}' both set"):
             sweep([(first, [6]), (second, [5])], fig4)
+
+
+@pytest.mark.parametrize("grid", [
+    [("lockdown.healthy", [3]), ("lockdown.recovered", [3])],
+    [("params.delta_A_I", [0.95]), ("params.delta_A_U", [0.01])],
+])
+def test_sweep_points_do_not_depend_on_the_path_order(grid):
+    # One order once failed on the scenario that had only its first path set.
+    base = preset("fig2b")
+    forward, backward = sweep(grid, base), sweep(grid[::-1], base)
+    assert len(forward) == len(backward) == 1
+    docs = [{k: v for k, v in cfg.to_dict().items() if k != "name"}
+            for cfg in forward + backward]
+    assert docs[0] == docs[1] != {k: v for k, v in base.to_dict().items() if k != "name"}
+
+
+def test_sweep_builds_each_point_once(monkeypatch):
+    base = preset("fig4_migration")
+    built = []
+    post_init = ScenarioConfig.__post_init__
+
+    def counting(cfg):
+        built.append(cfg.name)
+        post_init(cfg)
+
+    monkeypatch.setattr(ScenarioConfig, "__post_init__", counting)
+    grid = [("params.alpha", [0.5, 0.9]), ("lockdown.healthy", [4, 5]), ("horizon", [10, 20])]
+    configs = sweep(grid, base)
+    assert len(configs) == 8
+    assert built == [cfg.name for cfg in configs]
