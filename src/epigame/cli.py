@@ -253,9 +253,9 @@ def _load_scenario(args) -> ScenarioConfig:
     raise ValidationError("one of --preset or --config is required")
 
 
-def _single_scenario(args) -> ScenarioConfig:
-    scenario = _load_scenario(args)
-    if getattr(args, "horizon", None) is not None:
+def _with_horizon(scenario: ScenarioConfig, args) -> ScenarioConfig:
+    """``scenario`` with the ``--horizon`` override, if one is given."""
+    if args.horizon is not None:
         scenario = replace(scenario, horizon=args.horizon)
     return scenario
 
@@ -268,7 +268,7 @@ def _safe_dirname(name: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _single_scenario(args)
+    scenario = _with_horizon(_load_scenario(args), args)
     start = time.perf_counter()
     result = simulate(scenario)
     wall = time.perf_counter() - start
@@ -322,7 +322,7 @@ def _sweep_points(args) -> list[tuple[dict, ScenarioConfig]]:
         if args.config or args.grid:
             raise ValidationError("--preset cannot be combined with --config/--grid")
         if args.preset == "fig3_sweep":
-            return fig3_points()
+            return [(fields, _with_horizon(cfg, args)) for fields, cfg in fig3_points()]
         preset(args.preset)  # an unknown name raises here
         raise ValidationError(
             f"preset {args.preset!r} is a single scenario; use the simulate command"
@@ -346,7 +346,9 @@ def _sweep_points(args) -> list[tuple[dict, ScenarioConfig]]:
                 parsed.append(token)  # bare strings, e.g. healthy_q modes
         paths.append(path.strip())
         value_lists.append(parsed)
-    configs = sweep(list(zip(paths, value_lists)), base)
+    if args.horizon is not None and "horizon" in paths:
+        raise ValidationError("--horizon cannot be combined with the grid path 'horizon'")
+    configs = sweep(list(zip(paths, value_lists)), _with_horizon(base, args))
     return [
         (dict(zip(paths, combo)), cfg)
         for combo, cfg in zip(itertools.product(*value_lists), configs)
@@ -357,10 +359,6 @@ def cmd_sweep(args) -> int:
     points = _sweep_points(args)
     if not points:
         raise ValidationError("sweep grid is empty")
-    if args.horizon is not None:
-        if "horizon" in points[0][0]:
-            raise ValidationError("--horizon cannot be combined with the grid path 'horizon'")
-        points = [(f, replace(cfg, horizon=args.horizon)) for f, cfg in points]
     jobs = min(len(points), os.cpu_count() or 1) if args.jobs is None else args.jobs
     if jobs < 1:
         raise ValidationError(f"--jobs must be >= 1; got {args.jobs}")
@@ -397,7 +395,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check_equilibrium(args) -> int:
-    scenario = _single_scenario(args)
+    scenario = _load_scenario(args)
     social = read_social_state(
         Path(args.state), num_zones=scenario.params.num_zones, a_max=scenario.params.a_max
     )
@@ -436,7 +434,7 @@ def _parse_mass_split(entries: str, num_zones: int) -> np.ndarray:
 
 
 def cmd_construct_equilibrium(args) -> int:
-    scenario = _single_scenario(args)
+    scenario = _load_scenario(args)
     split = _parse_mass_split(args.split, scenario.params.num_zones)
     cfg = scenario.reward_config()
     try:

@@ -273,19 +273,7 @@ class StateDistribution:
     d: np.ndarray  # (5, Z)
 
     def __post_init__(self) -> None:
-        d = float_entries("distribution", self.d)
-        if d.ndim != 2 or d.shape[0] != NUM_STATES:
-            raise ValidationError(f"distribution must have shape (5, Z); got {d.shape}")
-        # One test of all conditions first (an infinite entry makes the total infinite).
-        total = float(d.sum()) if d.min(initial=0.0) >= 0.0 else math.nan
-        if not abs(total - 1.0) <= PROB_TOL:
-            if not np.isfinite(d).all():
-                raise ValidationError("distribution contains non-finite entries")
-            if (d < 0.0).any():
-                raise ValidationError(f"distribution has negative mass (min {d.min()})")
-            if abs(total - 1.0) > PROB_TOL:
-                raise ValidationError(f"distribution mass must be 1 within {PROB_TOL}; got {total}")
-        store(self, d=d / total)
+        store(self, d=distribution_table(self.d))
 
     @property
     def num_zones(self) -> int:
@@ -377,6 +365,23 @@ def policy_rows(rows: np.ndarray, a_max: int) -> np.ndarray:
         worst = float(deviation.max())
         raise ValidationError(f"policy row sums deviate from 1 by {worst} (> {PROB_TOL})")
     return rows / sums[..., None]
+
+
+def distribution_table(d: np.ndarray) -> np.ndarray:
+    """``d`` (5, Z) over its total, once every :class:`StateDistribution` invariant holds."""
+    d = float_entries("distribution", d)
+    if d.ndim != 2 or d.shape[0] != NUM_STATES:
+        raise ValidationError(f"distribution must have shape (5, Z); got {d.shape}")
+    # One test of all conditions first (an infinite entry makes the total infinite).
+    total = float(d.sum()) if d.min(initial=0.0) >= 0.0 else math.nan
+    if not abs(total - 1.0) <= PROB_TOL:
+        if not np.isfinite(d).all():
+            raise ValidationError("distribution contains non-finite entries")
+        if (d < 0.0).any():
+            raise ValidationError(f"distribution has negative mass (min {d.min()})")
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValidationError(f"distribution mass must be 1 within {PROB_TOL}; got {total}")
+    return d / total
 
 
 @dataclass(frozen=True, eq=False)

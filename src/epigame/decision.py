@@ -103,8 +103,8 @@ def value_function(
 def solve_values(matrix: np.ndarray, rewards: np.ndarray, alpha: float) -> np.ndarray:
     """Values (5, Z) of the rewards (5, Z) under the flat kernel ``matrix``."""
     r = flatten_state_table(rewards)
-    system = matrix * -alpha
-    system.flat[:: r.size + 1] += 1.0  # I - alpha * matrix, built in place
+    system = np.multiply(matrix, -alpha, order="C")  # C order: reshape(-1) is a view
+    system.reshape(-1)[:: r.size + 1] += 1.0  # I - alpha * matrix, built in place
     v = np.linalg.solve(system, r)
     check_value_residual(system @ v - r, r, alpha)
     return unflatten_state_table(v, rewards.shape[1])

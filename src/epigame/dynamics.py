@@ -9,11 +9,10 @@ order.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -27,12 +26,14 @@ from .core import (
     StateDistribution,
     ValidationError,
     checked_index,
+    distribution_table,
     float_entries,
     is_real,
+    policy_rows,
     same_dims,
     store,
 )
-from .decision import DayPlan, DayRows, blend
+from .decision import STATE_INDEX, DayPlan, DayRows, blend
 from .epidemic import propagate_mass
 from .rewards import RewardConfig
 from .scenarios import ScenarioConfig
@@ -98,13 +99,16 @@ class Trajectory:
     def records(self) -> tuple[StepRecord, ...]:
         """One record per day, built once on first read.
 
-        A simulated trajectory rebuilds its social states by replaying the
-        run from its scenario, which is deterministic, so they equal the
-        states the run went through bit for bit.
+        A simulated trajectory replays its run from the scenario's initial
+        state, one :func:`_step` a day. The constructors there divide each
+        array once, as :func:`simulate` does, so the states hold its bits.
         """
         if not isinstance(self.source, ScenarioConfig):
             return self.source
-        states = [social for social, _ in islice(_days(self.source), len(self))]
+        plan = _plan(self.source)
+        states = [self.source.initial_social()]
+        while len(states) < len(self):
+            states.append(_step(plan, states[-1]))
         return tuple(
             StepRecord(day, social, self.activation[day], self.flows[day],
                        float(self.daily_welfare[day]))
@@ -200,31 +204,40 @@ class SimulationResult:
     stop_reason: str  # "settled" (epidemic over, policy settled) or "horizon"
 
 
-def _observe(
-    social: SocialState, rows: DayRows
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _observe(d: np.ndarray, rows: DayRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Distribution (5, Z), mean activation (3, Z), flows (Z, Z) and welfare of one day.
 
-    ``rows`` is the day's :meth:`DayPlan.state_rewards`: the welfare is the
-    distribution's mass against its rewards, the flows against its moves.
+    ``d`` is the day's distribution table and ``rows`` its
+    :meth:`DayPlan.state_rewards`: the welfare is the distribution's mass
+    against its rewards, the flows against its moves.
     """
-    d = social.dist.d
-    welfare = float(np.sum(d * rows.rewards))
+    welfare = float((d * rows.rewards).sum())
     flow = np.einsum("sz,szt->zt", d, rows.moves.take(CLASS_OF_STATE, axis=0))
     return d, rows.mean_degree, flow, welfare
 
 
-def _advance(plan: DayPlan, social: SocialState, rows: DayRows) -> SocialState:
-    """The day update on plain arrays; only tomorrow's state objects are built.
+def _advance(plan: DayPlan, d: np.ndarray, rows: DayRows) -> tuple[np.ndarray, np.ndarray]:
+    """The day update on plain arrays: tomorrow's class rows (the blend) and masses.
 
-    ``rows`` is today's :meth:`DayPlan.state_rewards`.
+    ``d`` is today's distribution table and ``rows`` its :meth:`DayPlan.state_rewards`.
+    Neither output is renormalised yet: each caller divides each once.
     """
-    d = social.dist.d
     kernel, stay, values = plan.terms(rows, d)
-    new_rows = blend(social.policy.class_rows, plan.target(stay, values, d), plan.params.inertia)
-    return SocialState(
-        Policy(new_rows, plan.params.a_max), StateDistribution(propagate_mass(d, kernel))
-    )
+    new_rows = blend(rows.classes, plan.target(stay, values, d), plan.params.inertia)
+    return new_rows, propagate_mass(d, kernel)
+
+
+def _plan(scenario: ScenarioConfig) -> DayPlan:
+    """The one :class:`DayPlan` of a scenario's run."""
+    return DayPlan(scenario.reward_config(), scenario.params, scenario.healthy_q,
+                   scenario.infected_forced_home)
+
+
+def _step(plan: DayPlan, social: SocialState) -> SocialState:
+    """One :func:`_advance` of ``social``, renormalised by the checked constructors."""
+    rows = plan.state_rewards(social.policy.class_rows)
+    new_rows, masses = _advance(plan, social.dist.d, rows)
+    return SocialState(Policy(new_rows, plan.params.a_max), StateDistribution(masses))
 
 
 def step(
@@ -235,29 +248,10 @@ def step(
     healthy_q: str = "belief",
     infected_forced_home: bool = True,
 ) -> SocialState:
-    """One simultaneous day update of policy and distribution."""
+    """One simultaneous day update of policy and distribution, as :func:`simulate` makes it."""
     plan = DayPlan(cfg, p, healthy_q, infected_forced_home)
     same_dims("policy", social.policy, "parameters", p)
-    return _advance(plan, social, plan.state_rewards(social.policy.class_rows))
-
-
-def _days(scenario: ScenarioConfig) -> Iterator[tuple[SocialState, DayRows]]:
-    """The run's days, unbounded: each day's social state and its :class:`DayRows`.
-
-    One :class:`DayPlan` serves the run. The next day is built only when the
-    caller asks for it, from the rows already handed out.
-    """
-    plan = DayPlan(
-        scenario.reward_config(),
-        scenario.params,
-        scenario.healthy_q,
-        scenario.infected_forced_home,
-    )
-    social = scenario.initial_social()
-    while True:
-        rows = plan.state_rewards(social.policy.class_rows)
-        yield social, rows
-        social = _advance(plan, social, rows)
+    return _step(plan, social)
 
 
 def simulate(scenario: ScenarioConfig) -> SimulationResult:
@@ -268,26 +262,33 @@ def simulate(scenario: ScenarioConfig) -> SimulationResult:
     the settle threshold; post-epidemic adjustment (notably return
     migration) would otherwise be cut off.
 
-    The trajectory keeps the per-day columns only; each day's social state
-    is dropped once the next one is built, and ``records`` replays the run.
+    From :meth:`ScenarioConfig.initial_social` on, the run loops on plain
+    arrays and builds no container per day. :func:`policy_rows` and
+    :func:`distribution_table` renormalise each :func:`_advance` with the
+    checks and the one division that the :class:`Policy` and
+    :class:`StateDistribution` constructors make. The trajectory keeps the
+    per-day columns only, and ``records`` replays the run.
     """
+    plan, initial = _plan(scenario), scenario.initial_social()
+    classes, d = initial.policy.class_rows, initial.dist.d
+    del initial  # no table outlives its day: day 0's rows go once day 1's replace them
+    _, A, I, _, _ = STATE_INDEX
     observed = []
     previous = None
-    for day, (social, rows) in enumerate(_days(scenario)):
-        observed.append(_observe(social, rows))
+    for day in itertools.count():
+        rows = plan.state_rewards(classes)
+        observed.append(_observe(d, rows))
         if day >= scenario.horizon:
             stop_reason = "horizon"
             break
-        if social.dist.active_mass() < scenario.extinction_threshold:
-            policy_change = (
-                math.inf
-                if previous is None
-                else float(np.abs(social.policy.class_rows - previous.policy.class_rows).max())
-            )
-            if policy_change < scenario.policy_settle_threshold:
-                stop_reason = "settled"
-                break
-        previous = social
+        if (float(d[A].sum() + d[I].sum()) < scenario.extinction_threshold
+                and previous is not None  # day 0 has no update to measure
+                and float(np.abs(classes - previous).max()) < scenario.policy_settle_threshold):
+            stop_reason = "settled"
+            break
+        previous = classes
+        classes, masses = _advance(plan, d, rows)  # the blend, not yet renormalised
+        classes, d = policy_rows(classes, plan.params.a_max), distribution_table(masses)
     traj = Trajectory._of_run(observed, scenario)
     return SimulationResult(
         scenario,

@@ -208,14 +208,14 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 def _table_rows(data: dict, table: str, keys: list[str]) -> list:
     """The rows under ``keys`` of the scenario's ``table``; rejects missing and unknown keys."""
     doc = data[table]
-    try:
-        rows = [doc[key] for key in keys]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad {table} table: {exc}") from exc
-    unknown = set(doc) - set(keys)
-    if unknown:
-        raise ValidationError(f"unknown {table} keys: {sorted(unknown)}; expected {keys}")
-    return rows
+    if not isinstance(doc, Mapping):
+        raise ValidationError(f"{table} must be a key-value mapping of the rows {keys}; "
+                              f"got {type(doc).__name__}")
+    if set(doc) != set(keys):
+        missing, unknown = [key for key in keys if key not in doc], set(doc) - set(keys)
+        raise ValidationError(f"{table} must define exactly the keys {keys}; missing {table} "
+                              f"keys: {missing}, unknown {table} keys: {sorted(unknown, key=str)}")
+    return [doc[key] for key in keys]
 
 
 # --- presets ---------------------------------------------------------------

@@ -45,6 +45,7 @@ from epigame.core import (
     PROB_TOL,
     InfectionState,
     action_degrees,
+    distribution_table,
     policy_rows,
 )
 from epigame.decision import BLOCK_SOLVE_MIN_ZONES, DayPlan
@@ -446,6 +447,35 @@ def test_distribution_matches_the_separate_checks():
     assert outcome(StateDistribution, bools) == (ValidationError, message)
     empty = np.empty((NUM_STATES, 0))
     assert outcome(StateDistribution, empty) == outcome(oracle_distribution, empty)
+
+
+def distribution_cases(rng):
+    """Every distribution the checks of StateDistribution are fed here and in test_core."""
+    for _ in range(CASES):
+        d = valid_distribution(rng)
+        yield d
+        for corrupt in corruptions("distribution").values():
+            yield corrupt(d.copy(), rng)
+        yield from (d[1:], d[:, 0], d[:, :, None])
+    for entry, _ in NOT_NUMBERS:
+        yield with_entry(d, entry, rng)
+    yield [[True]] + [[False]] * (NUM_STATES - 1)
+    yield np.empty((NUM_STATES, 0))
+    flat = np.full((NUM_STATES, 2), 0.1)
+    yield from (flat * (1.0 + 5e-13), flat * (1.0 + 1e-9), np.full((4, 2), 0.125))
+    negative = flat.copy()
+    negative[0, 0], negative[1, 0] = -0.1, 0.3
+    yield negative
+
+
+def test_distribution_table_matches_the_container():
+    """The array rule the day loop uses raises, or returns the bits, of the container."""
+    seen = set()
+    for d in distribution_cases(np.random.default_rng(1105)):
+        result = outcome(distribution_table, d)
+        assert result == outcome(StateDistribution, d)
+        seen.add(result[1] if result[0] is ValidationError else "ok")
+    assert len(seen) >= 5  # every kind of rejection was reached, and acceptance
 
 
 # --- no aliasing -----------------------------------------------------------------

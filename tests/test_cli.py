@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import epigame
-from epigame import NumericsError, cli, preset, scenario_from_dict, simulate
+from epigame import NumericsError, ScenarioConfig, cli, preset, scenario_from_dict, simulate
 from epigame.cli import (
     main,
     render_timeseries,
@@ -27,8 +27,10 @@ from epigame.cli import (
     write_run_artifacts,
     write_social_state,
 )
+from epigame.scenarios import PRESET_HORIZON
 from conftest import make_params, random_social
 from test_dynamics import seeded_scenario
+from test_scenarios import bad_table_documents
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -282,6 +284,15 @@ def test_simulate_rejects_malformed_values(tmp_path, capsys, section, key, value
     (doc[section] if section else doc)[key] = value
     assert run_document(tmp_path, doc) == 1
     assert field in capsys.readouterr().err
+
+
+def test_simulate_names_every_missing_and_unknown_table_row(tmp_path, capsys):
+    doc = replace(preset("fig4_migration"), horizon=3).to_dict()
+    for bad, parts in bad_table_documents(doc):
+        assert run_document(tmp_path, bad) == 1
+        err = capsys.readouterr().err
+        assert all(part in err for part in parts), (parts, err)
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_rejects_sizes_too_large_to_hold(tmp_path, capsys):
@@ -621,6 +632,26 @@ def test_sweep_grid_paths_are_accepted_in_any_order(tmp_path, capsys):
     forward, backward = ((tmp_path / name / "sweep.csv").read_text().splitlines()[1]
                          for name in ("forward", "backward"))
     assert forward.split(",")[-5:] == backward.split(",")[-5:]
+
+
+def test_sweep_with_horizon_builds_each_grid_point_once(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, preset("fig2b"))
+    built = []
+    post_init = ScenarioConfig.__post_init__
+
+    def counting(cfg):
+        built.append((cfg.name, cfg.horizon))
+        post_init(cfg)
+
+    monkeypatch.setattr(ScenarioConfig, "__post_init__", counting)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--grid", "params.alpha=0.1,0.5,0.9",
+                 "--horizon", "5", "--jobs", "1", "--out", str(out)]) == 0
+    points = [f"fig2b[params.alpha={alpha}]" for alpha in (0.1, 0.5, 0.9)]
+    # The base is loaded, then given the horizon; each point is built once, with it.
+    assert built == [("fig2b", PRESET_HORIZON), ("fig2b", 5)] + [(name, 5) for name in points]
+    summaries = [read_summary(path) for path in sorted((out / "points").iterdir())]
+    assert [(s["scenario"]["name"], s["days"]) for s in summaries] == [(n, 5) for n in points]
 
 
 # --- equilibrium files ----------------------------------------------------------

@@ -115,6 +115,17 @@ def test_value_gate_fires_on_a_corrupted_solve(monkeypatch):
             value_function(kernel, rewards, p)
 
 
+def test_value_function_reads_a_kernel_in_either_memory_order():
+    rng = np.random.default_rng(25)
+    p = make_params(num_zones=3, a_max=3, alpha=0.9)
+    social = random_social(rng, p)
+    kernel = transition_matrix(social, p)
+    rewards = expected_reward(social.policy, random_reward_config(rng, p))
+    fortran = TransitionKernel(np.asfortranarray(kernel.matrix), p.num_zones)
+    assert fortran.matrix.flags.f_contiguous
+    assert np.array_equal(value_function(fortran, rewards, p), value_function(kernel, rewards, p))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_value_function_rejects_non_finite_rewards(bad):
     rng = np.random.default_rng(24)

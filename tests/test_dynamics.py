@@ -179,6 +179,25 @@ def test_simulate_is_chained_step(scenario):
         assert np.array_equal(nxt.dist.d, after.social.dist.d)
 
 
+def test_simulate_builds_no_container_per_day(monkeypatch):
+    scenarios = [replace(preset("fig2b"), horizon=horizon) for horizon in (5, 40)]
+    built = []
+    for container in (Policy, StateDistribution):
+        post_init = container.__post_init__
+
+        def counting(obj, post_init=post_init, name=container.__name__):
+            built.append(name)
+            post_init(obj)
+
+        monkeypatch.setattr(container, "__post_init__", counting)
+    counts = []
+    for scenario in scenarios:
+        built.clear()
+        assert len(simulate(scenario).trajectory) == scenario.horizon + 1
+        counts.append(sorted(built))
+    assert counts[0] == counts[1]
+
+
 def test_simulate_fires_the_value_residual_gate(monkeypatch):
     solve = np.linalg.solve
     # One scenario on each side of BLOCK_SOLVE_MIN_ZONES: the dense and the block solve.
@@ -322,7 +341,7 @@ def test_observed_flows_and_activation_match_loops_over_actions():
         social = SocialState(Policy(class_rows, a_max), StateDistribution(d))
         plan = decision.DayPlan(random_reward_config(rng, p), p)
         rows = plan.state_rewards(social.policy.class_rows)
-        _, activation, flow, _ = dynamics._observe(social, rows)
+        _, activation, flow, _ = dynamics._observe(social.dist.d, rows)
         state_rows = social.policy.state_rows()
         expected_flow = np.zeros((zones, zones))
         for s in range(NUM_STATES):

@@ -344,6 +344,35 @@ def test_scenario_document_rejections():
         scenario_from_dict([1, 2, 3])
 
 
+def bad_table_documents(doc):
+    """(broken copy of ``doc``, message parts) for each table-row case of ``scenario_from_dict``.
+
+    Missing and unknown rows of ``lockdown_degrees`` and ``initial_dist``
+    are all named; a table that is not a mapping is named too.
+    """
+    classes, states = ["healthy", "symptomatic", "recovered"], ["S", "A", "I", "R", "U"]
+    cases = []
+    for table, keys, drop, extra in (("lockdown_degrees", classes, ["healthy", "recovered"], []),
+                                     ("initial_dist", states, ["A", "R"], ["X"])):
+        rows = {key: row for key, row in doc[table].items() if key not in drop}
+        rows.update({key: doc[table][keys[0]] for key in extra})
+        cases.append((dict(doc, **{table: rows}), [
+            f"{table} must define exactly the keys {keys}",
+            f"missing {table} keys: {drop}",
+            f"unknown {table} keys: {extra}",
+        ]))
+        for value in ("x", None, [0.5], 3):
+            cases.append((dict(doc, **{table: value}), [f"{table} must be a key-value mapping"]))
+    return cases
+
+
+def test_table_rows_name_every_missing_and_unknown_key():
+    for bad, parts in bad_table_documents(preset("fig4_migration").to_dict()):
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(bad)
+        assert all(part in str(err.value) for part in parts), (parts, str(err.value))
+
+
 # --- sweeps ------------------------------------------------------------------------
 
 
